@@ -60,18 +60,6 @@ void scalarRemapGather(uint32_t *Dst, const uint32_t *Src,
     Dst[I] = Src[Idx[I]];
 }
 
-uint64_t scalarGatherEq(const void *Base, const uint32_t *ByteOff,
-                        const uint32_t *Expect, size_t N) {
-  const char *P = static_cast<const char *>(Base);
-  uint64_t Mask = 0;
-  for (size_t I = 0; I != N; ++I) {
-    uint32_t Word;
-    std::memcpy(&Word, P + ByteOff[I], sizeof(Word));
-    Mask |= static_cast<uint64_t>(Word == Expect[I]) << I;
-  }
-  return Mask;
-}
-
 void scalarProbeTags(const void *Base, const uint32_t *ByteOff,
                      const uint32_t *Keys, size_t N, uint32_t Empty,
                      uint64_t *HitMask, uint64_t *EmptyMask) {
@@ -96,7 +84,6 @@ constexpr KernelOps ScalarOps = {Isa::Scalar,
                                  scalarAllZero,
                                  scalarTrimTrailingZeros,
                                  scalarRemapGather,
-                                 scalarGatherEq,
                                  scalarProbeTags};
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -303,11 +290,6 @@ size_t trimTrailingZeros(const uint32_t *A, size_t N) {
 void remapGather(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
                  size_t N) {
   Active->RemapGather(Dst, Src, Idx, N);
-}
-
-uint64_t gatherEq(const void *Base, const uint32_t *ByteOff,
-                  const uint32_t *Expect, size_t N) {
-  return Active->GatherEq(Base, ByteOff, Expect, N);
 }
 
 void probeTags(const void *Base, const uint32_t *ByteOff,

@@ -86,9 +86,9 @@ void avx2RemapGather(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
   scalarRemapGather(Dst + I, Src, Idx + I, N - I);
 }
 
-// Byte-offset gathers for the multi-key hot-path probes: scale 1 with the
-// caller's precomputed byte offsets, so slots at any stride (hash-table
-// Slot structs, detector VarState fields) gather in one vpgatherdd.
+// Byte-offset gathers for the multi-key hot-path probe: scale 1 with the
+// caller's precomputed byte offsets, so hash-table Slot structs at any
+// stride gather in one vpgatherdd.
 inline __m256i gather32(const void *Base, const uint32_t *ByteOff) {
   __m256i Off =
       _mm256_loadu_si256(reinterpret_cast<const __m256i *>(ByteOff));
@@ -99,21 +99,6 @@ inline __m256i gather32(const void *Base, const uint32_t *ByteOff) {
 inline uint64_t laneMask8(__m256i Eq) {
   return static_cast<uint64_t>(static_cast<uint8_t>(
       _mm256_movemask_ps(_mm256_castsi256_ps(Eq))));
-}
-
-uint64_t avx2GatherEq(const void *Base, const uint32_t *ByteOff,
-                      const uint32_t *Expect, size_t N) {
-  size_t I = 0;
-  uint64_t Mask = 0;
-  for (; I + 8 <= N; I += 8) {
-    __m256i V = gather32(Base, ByteOff + I);
-    __m256i E =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Expect + I));
-    Mask |= laneMask8(_mm256_cmpeq_epi32(V, E)) << I;
-  }
-  if (I != N) // A shift by a full 64 would be UB, so gate the tail merge.
-    Mask |= scalarGatherEq(Base, ByteOff + I, Expect + I, N - I) << I;
-  return Mask;
 }
 
 void avx2ProbeTags(const void *Base, const uint32_t *ByteOff,
@@ -147,7 +132,6 @@ constexpr KernelOps Avx2Ops = {Isa::Avx2,
                                avx2AllZero,
                                avx2TrimTrailingZeros,
                                avx2RemapGather,
-                               avx2GatherEq,
                                avx2ProbeTags};
 
 } // namespace

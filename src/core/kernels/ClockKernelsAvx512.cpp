@@ -88,24 +88,9 @@ void avx512RemapGather(uint32_t *Dst, const uint32_t *Src,
   scalarRemapGather(Dst + I, Src, Idx + I, N - I);
 }
 
-// Byte-offset gathers for the multi-key hot-path probes: scale 1 with the
+// Byte-offset gathers for the multi-key hot-path probe: scale 1 with the
 // caller's precomputed byte offsets, 16 slots per vpgatherdd, hit masks
 // straight out of the opmask compares.
-uint64_t avx512GatherEq(const void *Base, const uint32_t *ByteOff,
-                        const uint32_t *Expect, size_t N) {
-  size_t I = 0;
-  uint64_t Mask = 0;
-  for (; I + 16 <= N; I += 16) {
-    __m512i Off = _mm512_loadu_si512(ByteOff + I);
-    __m512i V = _mm512_i32gather_epi32(Off, Base, /*Scale=*/1);
-    __m512i E = _mm512_loadu_si512(Expect + I);
-    Mask |= static_cast<uint64_t>(_mm512_cmpeq_epu32_mask(V, E)) << I;
-  }
-  if (I != N) // A shift by a full 64 would be UB, so gate the tail merge.
-    Mask |= scalarGatherEq(Base, ByteOff + I, Expect + I, N - I) << I;
-  return Mask;
-}
-
 void avx512ProbeTags(const void *Base, const uint32_t *ByteOff,
                      const uint32_t *Keys, size_t N, uint32_t Empty,
                      uint64_t *HitMask, uint64_t *EmptyMask) {
@@ -138,7 +123,6 @@ constexpr KernelOps Avx512Ops = {Isa::Avx512,
                                  avx512AllZero,
                                  avx512TrimTrailingZeros,
                                  avx512RemapGather,
-                                 avx512GatherEq,
                                  avx512ProbeTags};
 
 } // namespace

@@ -59,7 +59,7 @@ size_t neonTrimTrailingZeros(const uint32_t *A, size_t N) {
 }
 
 // NEON has no gather instruction; the scalar gather-family bodies are the
-// fast path for RemapGather, GatherEq, and ProbeTags alike.
+// fast path for RemapGather and ProbeTags alike.
 constexpr KernelOps NeonOps = {Isa::Neon,
                                "neon",
                                neonJoinMax,
@@ -67,7 +67,6 @@ constexpr KernelOps NeonOps = {Isa::Neon,
                                neonAllZero,
                                neonTrimTrailingZeros,
                                scalarRemapGather,
-                               scalarGatherEq,
                                scalarProbeTags};
 
 } // namespace

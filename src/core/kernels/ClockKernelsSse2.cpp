@@ -70,7 +70,7 @@ size_t sse2TrimTrailingZeros(const uint32_t *A, size_t N) {
 }
 
 // SSE2 has no gather instruction; the scalar gather-family bodies are the
-// fast path for RemapGather, GatherEq, and ProbeTags alike.
+// fast path for RemapGather and ProbeTags alike.
 constexpr KernelOps Sse2Ops = {Isa::Sse2,
                                "sse2",
                                sse2JoinMax,
@@ -78,7 +78,6 @@ constexpr KernelOps Sse2Ops = {Isa::Sse2,
                                sse2AllZero,
                                sse2TrimTrailingZeros,
                                scalarRemapGather,
-                               scalarGatherEq,
                                scalarProbeTags};
 
 } // namespace

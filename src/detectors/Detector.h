@@ -263,10 +263,10 @@ public:
   const DetectorStats &stats() const { return Stats; }
 
   /// Diagnostic tallies for the vectorized multi-key var-table probe.
-  /// Deliberately *not* part of DetectorStats: the equivalence harnesses
-  /// memcmp DetectorStats across engine variants, and a variant with hot
-  /// kernels off never probes at all -- these counters describe how the
-  /// answer was computed, not what it was.
+  /// Deliberately *not* part of DetectorStats: tests memcmp DetectorStats
+  /// against the per-access reference loop, which never probes at all --
+  /// these counters describe how the answer was computed, not what it
+  /// was.
   struct ProbeCounters {
     uint64_t VectorResolved = 0; ///< Keys the gather probe resolved.
     uint64_t ScalarFallback = 0; ///< Keys that walked the scalar chain.

@@ -2,11 +2,6 @@
 
 #include "detectors/FastTrackDetector.h"
 
-#include "core/ClockKernels.h"
-
-#include <bit>
-#include <cstring>
-
 using namespace pacer;
 
 void FastTrackDetector::reportWriteRace(const VarState &State, VarId Var,
@@ -100,199 +95,8 @@ void FastTrackDetector::writeWith(const VectorClock &Clock, Epoch Current,
   State.WSite = Site;
 }
 
-void FastTrackDetector::hotAccessBatch(std::span<const Action> Batch,
-                                       const AccessShard &Shard) {
-  Arena::Scope MetadataScope(&Metadata);
-  constexpr size_t PrefetchDistance = 8;
-  constexpr size_t BlockWidth = 64;
-  const size_t N = Batch.size();
-  uint64_t SameEpochReads = 0, SameEpochWrites = 0;
-
-  ThreadId CurrentTid = InvalidId;
-  ThreadId Slot = InvalidId;
-  const VectorClock *Clock = nullptr;
-  Epoch Current;
-
-  // Staged run of consecutive owned writes by the current thread,
-  // recorded as bare action pointers; every derived gather input is
-  // computed at flush time, so a short run (cut by a read or a thread
-  // switch) costs one pointer store per write and resolves through the
-  // same inline compare as the cold kernel -- the gather's fixed cost
-  // only ever buys back a run wide enough to amortize it. A wide flush
-  // first dedups the run's lanes: a staged write whose var already
-  // occurred earlier in the run is on-epoch by construction once the
-  // earlier lane applies (every write leaves W at the current epoch), so
-  // the repeated-write shape tight loops leave resolves with no memory
-  // probe at all -- the gather would otherwise miss every such lane,
-  // because it snapshots W before the run's own writes land. The
-  // surviving first-occurrence lanes gather their write-epoch words
-  // straight out of the dense Vars array (tid word, then clock word at
-  // +4; Epoch packs (clock << 32) | tid, so on little-endian the tid is
-  // the low word) and skip every write the compare proves on-epoch.
-  // Nothing mutates Vars between staging and flush, so the offsets
-  // computed at flush are the offsets the gather reads.
-  constexpr size_t MinGatherLanes = 8;
-  // Residency gate, sized to a typical last-level cache: the dense
-  // direct-indexed table makes the scalar screen one indexed load plus a
-  // compare, which the core overlaps across iterations on its own, so
-  // staging + dedup + gather is pure per-lane overhead while the table
-  // fits in cache. Only a DRAM-resident table -- where the batched probe
-  // buys memory-level parallelism a serial screen cannot -- repays the
-  // machinery. Evaluated once per batch; a table that grows past the
-  // threshold mid-batch flips the engine on next batch.
-  constexpr size_t GatherMinTableBytes = size_t(16) << 20;
-  const bool GatherPays = Vars.size() * sizeof(VarState) > GatherMinTableBytes;
-  const Action *Staged[BlockWidth];
-  size_t Pending = 0;
-
-  auto Flush = [&] {
-    if (Pending == 0)
-      return;
-    if (Pending < MinGatherLanes) {
-      // Narrow run (cut by a read or thread switch): resolve inline
-      // (same decision, same counters -- only the probe tally moves to
-      // the scalar column). The sequential screen subsumes the dedup.
-      Probe.ScalarFallback += Pending;
-      for (size_t I = 0; I != Pending; ++I) {
-        const Action &A = *Staged[I];
-        if (A.Target < Vars.size() && Vars[A.Target].W == Current) {
-          ++SameEpochWrites;
-          continue;
-        }
-        writeWith(*Clock, Current, Slot, A.Target, A.Site);
-      }
-      Pending = 0;
-      return;
-    }
-    // Lane dedup through a 128-slot scratch set (<= 64 distinct vars, so
-    // load stays under one half). Duplicate lanes are engine-resolved:
-    // they count as vector-resolved in the probe tally because no scalar
-    // chain walk (indeed no probe) happens for them.
-    const Action *Unique[BlockWidth];
-    size_t UniqueCount = 0;
-    {
-      uint32_t Scratch[128];
-      std::memset(Scratch, 0, sizeof(Scratch));
-      for (size_t I = 0; I != Pending; ++I) {
-        const uint32_t Tagged = Staged[I]->Target + 1; // 0 means empty.
-        uint32_t H = (Staged[I]->Target * 2654435761u) >> 25;
-        while (Scratch[H] != 0 && Scratch[H] != Tagged)
-          H = (H + 1) & 127;
-        if (Scratch[H] == Tagged)
-          continue;
-        Scratch[H] = Tagged;
-        Unique[UniqueCount++] = Staged[I];
-      }
-    }
-    const size_t Dups = Pending - UniqueCount;
-    SameEpochWrites += Dups;
-    Probe.VectorResolved += Dups;
-    if (UniqueCount < MinGatherLanes || Vars.empty() ||
-        Vars.size() * sizeof(VarState) > static_cast<size_t>(INT32_MAX)) {
-      // Few distinct vars, empty table, or a table too big for signed-32
-      // gather lanes: resolve the survivors inline.
-      Probe.ScalarFallback += UniqueCount;
-      for (size_t I = 0; I != UniqueCount; ++I) {
-        const Action &A = *Unique[I];
-        if (A.Target < Vars.size() && Vars[A.Target].W == Current) {
-          ++SameEpochWrites;
-          continue;
-        }
-        writeWith(*Clock, Current, Slot, A.Target, A.Site);
-      }
-      Pending = 0;
-      return;
-    }
-    const char *Base = reinterpret_cast<const char *>(Vars.data());
-    uint32_t ByteOff[BlockWidth];
-    uint32_t Expect[BlockWidth];
-    uint64_t ForcedMiss = 0; // Vars the table does not yet reach.
-    for (size_t I = 0; I != UniqueCount; ++I) {
-      const VarId Var = Unique[I]->Target;
-      if (Var < Vars.size()) {
-        ByteOff[I] = static_cast<uint32_t>(
-            reinterpret_cast<const char *>(&Vars[Var].W) - Base);
-      } else {
-        // Untracked var: a fresh entry cannot be on-epoch.
-        ByteOff[I] = 0;
-        ForcedMiss |= static_cast<uint64_t>(1) << I;
-      }
-      Expect[I] = Slot;
-    }
-    uint64_t Same = kernels::gatherEq(Base, ByteOff, Expect, UniqueCount);
-    if (Same & ~ForcedMiss) {
-      for (size_t I = 0; I != UniqueCount; ++I)
-        Expect[I] = Current.clockValue();
-      Same &= kernels::gatherEq(Base + sizeof(uint32_t), ByteOff, Expect,
-                                UniqueCount);
-    }
-    Same &= ~ForcedMiss;
-    const auto Skipped = static_cast<uint64_t>(std::popcount(Same));
-    Probe.VectorResolved += Skipped;
-    Probe.ScalarFallback += UniqueCount - Skipped;
-    SameEpochWrites += Skipped;
-    for (size_t I = 0; I != UniqueCount; ++I) {
-      if (Same >> I & 1)
-        continue;
-      const Action &A = *Unique[I];
-      writeWith(*Clock, Current, Slot, A.Target, A.Site);
-    }
-    Pending = 0;
-  };
-
-  for (size_t I = 0; I < N; ++I) {
-    if (I + PrefetchDistance < N) {
-      const VarId Ahead = Batch[I + PrefetchDistance].Target;
-      if (Ahead < Vars.size())
-        __builtin_prefetch(&Vars[Ahead]);
-    }
-    const Action &A = Batch[I];
-    if (!Shard.owns(A.Target))
-      continue;
-    if (A.Tid != CurrentTid) {
-      Flush();
-      CurrentTid = A.Tid;
-      Slot = Sync.slotOf(A.Tid);
-      Clock = &Sync.ensureThread(Slot);
-      Current = Epoch::make(Clock->get(Slot), Slot);
-    }
-    if (A.Kind == ActionKind::Read) {
-      // A read between writes ends the write run: the staged writes
-      // precede it in program order and must apply first.
-      Flush();
-      if (A.Target < Vars.size()) {
-        const VarState &State = Vars[A.Target];
-        if (State.R.isEpoch() && State.R.epoch() == Current) {
-          ++SameEpochReads;
-          continue;
-        }
-      }
-      readWith(*Clock, Current, Slot, A.Target, A.Site);
-      continue;
-    }
-    if (!GatherPays) {
-      // Cache-resident table: the inline screen is already optimal.
-      ++Probe.ScalarFallback;
-      if (A.Target < Vars.size() && Vars[A.Target].W == Current) {
-        ++SameEpochWrites;
-        continue;
-      }
-      writeWith(*Clock, Current, Slot, A.Target, A.Site);
-      continue;
-    }
-    if (Pending == BlockWidth)
-      Flush();
-    Staged[Pending++] = &A;
-  }
-  Flush();
-  Stats.ReadSlowSampling += SameEpochReads;
-  Stats.WriteSlowSampling += SameEpochWrites;
-}
-
 void FastTrackDetector::accessBatch(std::span<const Action> Batch,
                                     const AccessShard &Shard) {
-  if (Config.UseColdBatchKernel && Config.UseHotBatchKernel)
-    return hotAccessBatch(Batch, Shard);
   Arena::Scope MetadataScope(&Metadata);
   // Accesses never mutate thread clocks, so the clock reference and epoch
   // computed at a thread switch stay valid for the thread's whole run.
@@ -301,44 +105,7 @@ void FastTrackDetector::accessBatch(std::span<const Action> Batch,
   ThreadId Slot = InvalidId;
   const VectorClock *Clock = nullptr;
   Epoch Current;
-
-  if (!Config.UseColdBatchKernel) {
-    for (const Action &A : Batch) {
-      if (!Shard.owns(A.Target))
-        continue;
-      if (A.Tid != CurrentTid) {
-        CurrentTid = A.Tid;
-        Slot = Sync.slotOf(A.Tid);
-        Clock = &Sync.ensureThread(Slot);
-        Current = Epoch::make(Clock->get(Slot), Slot);
-      }
-      if (A.Kind == ActionKind::Read)
-        readWith(*Clock, Current, Slot, A.Target, A.Site);
-      else
-        writeWith(*Clock, Current, Slot, A.Target, A.Site);
-    }
-    return;
-  }
-
-  // Same-epoch pre-scan: Algorithm 7/8's O(1) path is a pure predicate of
-  // (VarState, Current) with no side effect beyond one stat increment --
-  // readWith()/writeWith() bump their counter *before* the check and the
-  // check-passing path does nothing else. Testing it inline against the
-  // dense Vars vector (prefetched a few accesses ahead) and deferring the
-  // counters keeps repeated same-variable runs -- the overwhelmingly
-  // common shape -- free of call and table-resize overhead. The predicate
-  // requires Var < Vars.size(): a fresh entry has a null read map and no
-  // write epoch, so ensureVar's resize cannot change its outcome.
-  constexpr size_t PrefetchDistance = 8;
-  const size_t N = Batch.size();
-  uint64_t SameEpochReads = 0, SameEpochWrites = 0;
-  for (size_t I = 0; I < N; ++I) {
-    if (I + PrefetchDistance < N) {
-      const VarId Ahead = Batch[I + PrefetchDistance].Target;
-      if (Ahead < Vars.size())
-        __builtin_prefetch(&Vars[Ahead]);
-    }
-    const Action &A = Batch[I];
+  for (const Action &A : Batch) {
     if (!Shard.owns(A.Target))
       continue;
     if (A.Tid != CurrentTid) {
@@ -347,25 +114,11 @@ void FastTrackDetector::accessBatch(std::span<const Action> Batch,
       Clock = &Sync.ensureThread(Slot);
       Current = Epoch::make(Clock->get(Slot), Slot);
     }
-    if (A.Kind == ActionKind::Read) {
-      if (A.Target < Vars.size()) {
-        const VarState &State = Vars[A.Target];
-        if (State.R.isEpoch() && State.R.epoch() == Current) {
-          ++SameEpochReads;
-          continue;
-        }
-      }
+    if (A.Kind == ActionKind::Read)
       readWith(*Clock, Current, Slot, A.Target, A.Site);
-    } else {
-      if (A.Target < Vars.size() && Vars[A.Target].W == Current) {
-        ++SameEpochWrites;
-        continue;
-      }
+    else
       writeWith(*Clock, Current, Slot, A.Target, A.Site);
-    }
   }
-  Stats.ReadSlowSampling += SameEpochReads;
-  Stats.WriteSlowSampling += SameEpochWrites;
 }
 
 size_t FastTrackDetector::recycleDeadSlots() {

@@ -46,25 +46,6 @@ struct FastTrackConfig {
   /// detector: a dominated dead thread's accesses can never again be the
   /// first access of a race, so purging them changes no report.
   bool UseAccordionClocks = false;
-
-  /// Filter same-epoch (O(1)-path) accesses in accessBatch with an inline
-  /// pre-scan -- prefetched table reads and deferred counters -- before
-  /// falling into the clock-comparing slow path. Observationally identical
-  /// to dispatching every access through readWith()/writeWith();
-  /// disabling it forces that generic loop (the micro_coldpath baseline).
-  bool UseColdBatchKernel = true;
-
-  /// Hot-path gather engine: stage maximal same-thread write runs and
-  /// test Algorithm 8's same-epoch fast path for up to 64 writes at once
-  /// through the dispatched kernels::gatherEq (two vpgatherdd compares
-  /// over the dense Vars array: tid word, then clock word). Only writes
-  /// the gather proves off-epoch fall back to writeWith(), which re-runs
-  /// the scalar check. Single-thread staging makes the skip sound: within
-  /// a run, only this thread's own same-epoch writes can touch W, and
-  /// they leave it equal to the staged expectation. Requires
-  /// UseColdBatchKernel (it extends that pre-scan); bit-identical either
-  /// way.
-  bool UseHotBatchKernel = true;
 };
 
 /// FastTrack: epochs for writes, adaptive epoch/map for reads.
@@ -113,10 +94,7 @@ public:
   /// Batched epoch dispatch that hoists the per-access thread-clock
   /// lookup: no synchronization runs inside an epoch, so a thread's clock
   /// and epoch are loop invariants across consecutive accesses by the
-  /// same thread. With UseColdBatchKernel the loop additionally performs
-  /// the same-epoch check inline -- Algorithm 7/8's O(1) path becomes a
-  /// prefetched table read plus a deferred counter, and only accesses that
-  /// fail it pay the readWith()/writeWith() call.
+  /// same thread.
   using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;
@@ -169,11 +147,6 @@ private:
                 VarId Var, SiteId Site);
   void writeWith(const VectorClock &Clock, Epoch Current, ThreadId Tid,
                  VarId Var, SiteId Site);
-
-  /// The UseHotBatchKernel arm of accessBatch: the cold pre-scan plus
-  /// gather-staged write runs.
-  void hotAccessBatch(std::span<const Action> Batch,
-                      const AccessShard &Shard);
 
   /// Backs the per-variable table and its read-map/clock blocks. MUST
   /// stay the first data member: the later members free their blocks back

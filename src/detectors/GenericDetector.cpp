@@ -23,8 +23,7 @@ void GenericDetector::checkClockOrdered(const VectorClock &Prior,
   // plus SIMD setup, which is more than the handful of scalar compares
   // the walk needs below one vector's width.
   constexpr size_t MinScreenWidth = 16;
-  if (Config.UseHotBatchKernel && Prior.size() >= MinScreenWidth &&
-      Prior.leq(Current))
+  if (Prior.size() >= MinScreenWidth && Prior.leq(Current))
     return;
   for (size_t U = 0, E = Prior.size(); U != E; ++U) {
     auto PriorTid = static_cast<ThreadId>(U);
@@ -84,10 +83,6 @@ void GenericDetector::write(ThreadId Tid, VarId Var, SiteId Site) {
 
 void GenericDetector::accessBatch(std::span<const Action> Batch,
                                   const AccessShard &Shard) {
-  if (!Config.UseHotBatchKernel) {
-    Detector::accessBatch(Batch, Shard);
-    return;
-  }
   // One arena scope for the whole epoch, and the slot/clock resolution
   // hoisted to thread switches. No synchronization action or first sight
   // occurs inside a batch, so the thread vector never reallocates and the

@@ -36,18 +36,10 @@ struct GenericConfig {
   /// Accordion clocks: recycle dead threads' clock slots once every live
   /// thread dominates their final clocks (see core/SlotRecycler.h).
   bool UseAccordionClocks = false;
-
-  /// Hot-path batch engine: analyse access epochs through a batch loop
-  /// that hoists the arena scope and per-thread clock resolution out of
-  /// the per-access path, and screens the O(n) race check with one
-  /// kernel-dispatched allLeq before walking components. Results are
-  /// bit-identical either way (a clock that is <= the current clock
-  /// reports nothing component by component).
-  bool UseHotBatchKernel = true;
 };
 
 /// Sound and precise O(n)-per-operation vector-clock race detector.
-class GenericDetector final : public Detector {
+class GenericDetector : public Detector {
 public:
   explicit GenericDetector(RaceSink &Sink, GenericConfig Config = {})
       : Detector(Sink), Config(Config) {
@@ -88,6 +80,10 @@ public:
 
   void read(ThreadId Tid, VarId Var, SiteId Site) override;
   void write(ThreadId Tid, VarId Var, SiteId Site) override;
+
+  /// Batched epoch dispatch: one arena scope per epoch, and the thread's
+  /// slot and clock resolved at thread switches instead of per access.
+  using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;
 

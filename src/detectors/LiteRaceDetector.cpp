@@ -174,68 +174,22 @@ void LiteRaceDetector::analyzeWrite(ThreadId Tid, VarId Var, SiteId Site) {
 void LiteRaceDetector::accessBatch(std::span<const Action> Batch,
                                    const AccessShard &Shard) {
   Arena::Scope MetadataScope(&Metadata);
-  if (Plan) {
-    // Cold kernel: one bitmap range test proves the whole batch unsampled
-    // (the common case once hot methods decay), after which every owned
-    // access is a fast-path counter bump and nothing else -- fold them
-    // branchlessly and return. Valid only for contiguous trace runs: a
-    // batch from the trace index or the segmenter is one [From, To) slice
-    // of the position space.
-    if (Config.UseColdBatchKernel && !Batch.empty()) {
-      const size_t From = static_cast<size_t>(Batch.data() - Plan->Base);
-      if (Plan->noneSampled(From, From + Batch.size())) {
-        // Owned reads are the owned remainder after counting owned
-        // writes: one byte per action when the shard owns everything.
-        uint64_t Writes = 0;
-        if (Shard.ownsAll()) {
-          for (const Action &A : Batch)
-            Writes += A.Kind != ActionKind::Read;
-          Stats.ReadFastNonSampling += Batch.size() - Writes;
-        } else {
-          uint64_t Owned = 0;
-          for (const Action &A : Batch) {
-            const uint64_t Own = A.Target % Shard.count() == Shard.index();
-            Owned += Own;
-            Writes +=
-                Own & static_cast<uint64_t>(A.Kind != ActionKind::Read);
-          }
-          Stats.ReadFastNonSampling += Owned - Writes;
-        }
-        Stats.WriteFastNonSampling += Writes;
-        return;
-      }
-    }
-    // Planned replay: decisions are precomputed per trace position, so
-    // foreign accesses cost nothing and the batch may be a filtered
-    // owned-only run from the trace index.
-    for (const Action &A : Batch) {
+  for (const Action &A : Batch) {
+    bool Sampled;
+    if (Plan) {
+      // Planned replay: decisions are precomputed per trace position, so
+      // foreign accesses cost nothing and the batch may be a filtered
+      // owned-only run from the trace index.
       if (!Shard.owns(A.Target))
         continue;
-      bool Sampled = Plan->sampled(static_cast<size_t>(&A - Plan->Base));
-      if (A.Kind == ActionKind::Read) {
-        if (!Sampled) {
-          ++Stats.ReadFastNonSampling;
-          continue;
-        }
-        ++Stats.ReadSlowSampling;
-        analyzeRead(A.Tid, A.Target, A.Site);
-      } else {
-        if (!Sampled) {
-          ++Stats.WriteFastNonSampling;
-          continue;
-        }
-        ++Stats.WriteSlowSampling;
-        analyzeWrite(A.Tid, A.Target, A.Site);
-      }
+      Sampled = Plan->sampled(static_cast<size_t>(&A - Plan->Base));
+    } else {
+      // Advance the sampler for every access (see the header comment):
+      // the decision stream must be identical on every replica.
+      Sampled = shouldSample(A.Tid, A.Site);
+      if (!Shard.owns(A.Target))
+        continue;
     }
-    return;
-  }
-  for (const Action &A : Batch) {
-    // Advance the sampler for every access (see the header comment): the
-    // decision stream must be identical on every replica.
-    bool Sampled = shouldSample(A.Tid, A.Site);
-    if (!Shard.owns(A.Target))
-      continue;
     if (A.Kind == ActionKind::Read) {
       if (!Sampled) {
         ++Stats.ReadFastNonSampling;

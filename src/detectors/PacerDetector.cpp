@@ -666,12 +666,11 @@ void PacerDetector::accessBatch(std::span<const Action> Batch,
   // inside a batch, so the sampling flag is epoch-invariant and one test
   // here selects the kernel for the whole run. (Accordion clocks need the
   // per-access path for slot bookkeeping.)
-  if (Config.UseColdBatchKernel && !Sampling && !Config.UseAccordionClocks) {
-    coldAccessBatch(Batch, Shard);
-    return;
-  }
-  if (Config.UseHotBatchKernel && Sampling && !Config.UseAccordionClocks) {
-    hotAccessBatch(Batch, Shard);
+  if (!Config.UseAccordionClocks) {
+    if (Sampling)
+      hotAccessBatch(Batch, Shard);
+    else
+      coldAccessBatch(Batch, Shard);
     return;
   }
   for (const Action &A : Batch) {

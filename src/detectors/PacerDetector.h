@@ -83,27 +83,6 @@ struct PacerConfig {
   /// the detector additionally sweeps at sampling-period boundaries (the
   /// paper's GC moments). Implemented on the core SlotRecycler.
   bool UseAccordionClocks = false;
-
-  /// Route non-sampling epochs through the phase-specialized cold batch
-  /// kernel (coldAccessBatch): block-staged probes with software prefetch
-  /// and batched fast-path counters instead of per-access dispatch.
-  /// Observationally identical to the per-access loop; disabling it forces
-  /// the generic loop, which is the baseline the micro_coldpath benchmark
-  /// measures the kernel against. (Accordion clocks always take the
-  /// per-access path for slot bookkeeping.)
-  bool UseColdBatchKernel = true;
-
-  /// Route sampling epochs through the hot batch kernel (hotAccessBatch):
-  /// stage each 64-access block's keys into struct-of-arrays and resolve
-  /// them with one FlatVarTable::findBlock -- a kernel-dispatched gather
-  /// probe (vpgatherdd tag compare on AVX2/AVX-512) that only falls back
-  /// to the scalar chain walk on collisions -- then run the full sampling
-  /// analysis against the pre-resolved entries. Observationally identical
-  /// to the per-access loop: sampling never erases entries, stale-null
-  /// results re-resolve through getOrInsert, and a table rehash inside a
-  /// block is detected via rehashEpoch() and re-probed. (Accordion clocks
-  /// take the per-access path, as with the cold kernel.)
-  bool UseHotBatchKernel = true;
 };
 
 /// PACER: proportional sampling race detection on top of FastTrack.
@@ -138,9 +117,9 @@ public:
   /// Batched epoch dispatch, phase-routed: the replay layer guarantees no
   /// sampling-period boundary falls inside a batch, so the sampling flag
   /// is loop-invariant and one test picks the whole epoch's kernel --
-  /// coldAccessBatch() outside sampling periods, the per-access loop
-  /// inside them (sampling accesses mutate metadata on every access, so
-  /// there is nothing to batch away).
+  /// coldAccessBatch() outside sampling periods, hotAccessBatch() inside
+  /// them, and the per-access loop under accordion clocks (which keeps
+  /// the slot bookkeeping in read()/write()).
   using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;

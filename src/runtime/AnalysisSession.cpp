@@ -78,27 +78,21 @@ std::unique_ptr<Detector> pacer::makeDetector(const DetectorSetup &Setup,
   case DetectorKind::Generic: {
     GenericConfig Config;
     Config.UseAccordionClocks = Setup.AccordionClocks;
-    Config.UseHotBatchKernel = Setup.HotKernels;
     return std::make_unique<GenericDetector>(Sink, Config);
   }
   case DetectorKind::FastTrack: {
     FastTrackConfig Config = Setup.FastTrack;
     Config.UseAccordionClocks |= Setup.AccordionClocks;
-    Config.UseColdBatchKernel &= Setup.ColdKernels;
-    Config.UseHotBatchKernel &= Setup.HotKernels;
     return std::make_unique<FastTrackDetector>(Sink, Config);
   }
   case DetectorKind::Pacer: {
     PacerConfig Config = Setup.Pacer;
     Config.UseAccordionClocks |= Setup.AccordionClocks;
-    Config.UseColdBatchKernel &= Setup.ColdKernels;
-    Config.UseHotBatchKernel &= Setup.HotKernels;
     return std::make_unique<PacerDetector>(Sink, Config);
   }
   case DetectorKind::LiteRace: {
     LiteRaceConfig Config = Setup.LiteRace;
     Config.UseAccordionClocks |= Setup.AccordionClocks;
-    Config.UseColdBatchKernel &= Setup.ColdKernels;
     return std::make_unique<LiteRaceDetector>(Sink, Workload.siteToMethod(),
                                               Seed ^ 0x4c495445u /*"LITE"*/,
                                               Config);

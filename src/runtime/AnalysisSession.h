@@ -90,19 +90,6 @@ struct DetectorSetup {
   /// Race reports are identical with it on or off; clocks and metadata
   /// stay O(live threads) instead of O(threads ever started).
   bool AccordionClocks = false;
-  /// Phase-specialized cold batch kernels (PACER's non-sampling batch,
-  /// FastTrack's same-epoch pre-scan, LiteRace's unsampled-run counting):
-  /// AND'd into the per-detector UseColdBatchKernel flags in makeDetector.
-  /// Results are bit-identical with the kernels on or off; off forces the
-  /// generic per-access batch loops (the micro_coldpath baseline).
-  bool ColdKernels = true;
-  /// Vectorized hot-path kernels (PACER's gather-probe sampling batch,
-  /// FastTrack's gather-staged same-epoch write filter, Generic's hoisted
-  /// batch loop with the allLeq screen): AND'd into the per-detector
-  /// UseHotBatchKernel flags in makeDetector. Results are bit-identical
-  /// with the kernels on or off; off forces the per-access loops (the
-  /// micro_hotpath baseline).
-  bool HotKernels = true;
   /// Coalesce same-thread acquire/release pair runs into
   /// Detector::syncBatch() calls in both replay engines (see
   /// Runtime::deliverSyncPairRun). Bit-identical on or off; the win
@@ -214,11 +201,12 @@ struct AnalysisResult {
   /// the analysed access count.
   uint64_t HotAccesses = 0;
   uint64_t ColdAccesses = 0;
-  /// Hot-kernel gather-probe split (Detector::probeCounters, summed
-  /// across shard replicas): staged keys the vector probe resolved vs.
-  /// keys that fell back to the scalar chain walk. Diagnostics only --
-  /// deliberately outside DetectorStats, which equivalence harnesses
-  /// compare bit-for-bit against hot-kernels-off runs that never probe.
+  /// Gather-probe split of PACER's sampling-phase batch
+  /// (Detector::probeCounters, summed across shard replicas): staged keys
+  /// the vector probe resolved vs. keys that fell back to the scalar
+  /// chain walk. Diagnostics only -- deliberately outside DetectorStats,
+  /// which tests compare bit-for-bit against the per-access reference
+  /// loop, which never probes.
   uint64_t ProbeVectorResolved = 0;
   uint64_t ProbeScalarFallback = 0;
   /// Up to 32 full reports (RaceLog's cap). Under sharded replay the set
@@ -229,8 +217,8 @@ struct AnalysisResult {
   /// resolved).
   unsigned ResolvedShards = 1;
   /// The clock-kernel ISA the dispatcher resolved for this analysis
-  /// (kernels::activeIsa() at replay time): "avx2", "sse2", "neon", or
-  /// "scalar". Surfaced by racedetect --times and the bench JSON.
+  /// (kernels::activeIsa() at replay time): "avx512", "avx2", "sse2",
+  /// "neon", or "scalar". Surfaced by racedetect --times and the bench JSON.
   const char *Isa = "scalar";
 
   /// analyzeFile timing split: trace load / view map, index build +

@@ -222,6 +222,10 @@ unsigned pacer::resolveShardCount(unsigned Requested, uint64_t AccessCount) {
 unsigned pacer::parseShardCount(const std::string &Text) {
   if (Text == "auto")
     return 0;
+  // strtoul skips leading blanks and negates a leading '-', so "-1" would
+  // parse as ULONG_MAX and clamp to 4096: accept decimal digits only.
+  if (Text.empty() || Text[0] < '0' || Text[0] > '9')
+    return 1;
   char *End = nullptr;
   const unsigned long Value = std::strtoul(Text.c_str(), &End, 10);
   if (End == Text.c_str() || *End != '\0' || Value == 0)

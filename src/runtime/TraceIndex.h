@@ -177,8 +177,8 @@ unsigned autoShardCount(uint64_t AccessCount, unsigned HardwareJobs);
 unsigned resolveShardCount(unsigned Requested, uint64_t AccessCount);
 
 /// Parses a --shards flag value: "auto" yields 0 (the auto sentinel);
-/// a positive number yields that count (capped at 4096); anything else
-/// yields 1.
+/// a positive decimal number yields that count (capped at 4096); anything
+/// else, a negative number included, yields 1.
 unsigned parseShardCount(const std::string &Text);
 
 /// Counts the data accesses in \p T (the input to auto shard tuning).

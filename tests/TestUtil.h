@@ -7,7 +7,8 @@
 /// \file
 /// Helpers shared across the test suite: a race sink that collects full
 /// reports, a fluent builder for hand-written traces, a dispatcher that
-/// replays traces straight into a detector (no sampling controller), and a
+/// replays traces straight into a detector (no sampling controller), a
+/// wrapper that pins a detector to the per-access reference loop, and a
 /// legality validator for generated traces.
 ///
 //===----------------------------------------------------------------------===//
@@ -22,6 +23,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,6 +107,19 @@ inline void replayInto(Detector &D, const Trace &T) {
   Runtime RT(D);
   RT.replay(T);
 }
+
+/// Wraps a detector so its virtual accessBatch falls back to the base
+/// class's per-access read()/write() loop -- the reference every batch
+/// path must match -- bypassing the detector's own override.
+template <typename Base> class ForceDefaultBatch final : public Base {
+public:
+  using Base::Base;
+  using Detector::accessBatch;
+  void accessBatch(std::span<const Action> Batch,
+                   const AccessShard &Shard) override {
+    this->Detector::accessBatch(Batch, Shard);
+  }
+};
 
 /// Checks synchronization legality of a generated trace. Returns an empty
 /// string if legal, else a description of the first violation.

@@ -188,3 +188,61 @@ TEST(FlatVarTableTest, MatchesReferenceMapUnderChurn) {
   });
   EXPECT_EQ(Visited, Reference.size());
 }
+
+namespace {
+
+/// Drives a FlatVarTable through a random insert/erase schedule and
+/// cross-checks findBlock against per-key find() after every mutation
+/// burst. Small key universes produce dense tables rich in collision
+/// chains; heavy erasure produces tombstone chains the gather's
+/// first-slot screen cannot resolve (forcing the scalar fallback).
+void differentialFindBlockCheck(uint32_t KeyUniverse, double EraseProb,
+                                uint64_t Seed) {
+  FlatVarTable<uint64_t> Table;
+  std::mt19937_64 Rng(Seed);
+  std::uniform_int_distribution<uint32_t> KeyDist(0, KeyUniverse - 1);
+  std::uniform_real_distribution<double> Coin(0.0, 1.0);
+
+  for (int Round = 0; Round < 200; ++Round) {
+    for (int Op = 0; Op < 32; ++Op) {
+      const uint32_t Key = KeyDist(Rng);
+      if (Coin(Rng) < EraseProb)
+        Table.erase(Key);
+      else
+        Table.getOrInsert(Key) = (static_cast<uint64_t>(Key) << 16) | Round;
+    }
+
+    uint32_t Keys[64];
+    uint64_t *Got[64];
+    std::uniform_int_distribution<size_t> WidthDist(1, 64);
+    const size_t N = WidthDist(Rng);
+    for (size_t I = 0; I != N; ++I)
+      Keys[I] = KeyDist(Rng); // Duplicates and absent keys included.
+
+    const size_t Resolved = Table.findBlock(Keys, N, Got);
+    EXPECT_LE(Resolved, N);
+    for (size_t I = 0; I != N; ++I) {
+      uint64_t *Want = Table.find(Keys[I]);
+      EXPECT_EQ(Got[I], Want)
+          << "universe " << KeyUniverse << " round " << Round << " key "
+          << Keys[I];
+      if (Want) {
+        EXPECT_EQ(*Got[I], *Want);
+      }
+    }
+  }
+}
+
+} // namespace
+
+TEST(FlatVarTableTest, FindBlockMatchesScalarFindSparse) {
+  // Large universe: mostly misses, resolved by the empty-lane screen.
+  differentialFindBlockCheck(/*KeyUniverse=*/1 << 20, /*EraseProb=*/0.2, 61);
+}
+
+TEST(FlatVarTableTest, FindBlockMatchesScalarFindCollisionHeavy) {
+  // Tiny universe under churn: dense table, long collision and tombstone
+  // chains, repeated shrink/grow rehashes.
+  differentialFindBlockCheck(/*KeyUniverse=*/96, /*EraseProb=*/0.45, 67);
+  differentialFindBlockCheck(/*KeyUniverse=*/40, /*EraseProb=*/0.6, 71);
+}

@@ -256,18 +256,9 @@ TEST(ShardedReplayTest, PrebuiltIndexMatchesInternalBuild) {
 
 namespace {
 
-/// Wraps a detector so its virtual accessBatch falls back to the base
-/// class's per-action loop, bypassing the detector's bulk override.
-template <typename Base> class ForceDefaultBatch final : public Base {
-public:
-  using Base::Base;
-  using Detector::accessBatch;
-  void accessBatch(std::span<const Action> Batch,
-                   const AccessShard &Shard) override {
-    this->Detector::accessBatch(Batch, Shard);
-  }
-};
-
+/// Replays \p T sequentially, without a sampling controller, on a
+/// detector and on its ForceDefaultBatch twin, and expects identical
+/// outcomes.
 template <typename Make>
 void expectOverrideMatchesDefault(const Trace &T, Make MakePair) {
   CollectingSink SinkA, SinkB;

@@ -250,6 +250,8 @@ TEST(TraceIndexTest, ParseAndResolveShardCount) {
   EXPECT_EQ(parseShardCount("12x"), 1u);
   EXPECT_EQ(parseShardCount("0"), 1u);
   EXPECT_EQ(parseShardCount("999999"), 4096u);
+  EXPECT_EQ(parseShardCount("-1"), 1u);
+  EXPECT_EQ(parseShardCount("-4096"), 1u);
 
   EXPECT_EQ(resolveShardCount(5, /*AccessCount=*/0), 5u);
   EXPECT_EQ(resolveShardCount(1, 1 << 30), 1u);

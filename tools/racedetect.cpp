@@ -73,14 +73,6 @@ OptionRegistry buildRegistry() {
                "recycle thread-clock slots once dead threads are "
                "dominated (accordion clocks); reports are identical, "
                "metadata stays O(live threads)")
-      .addFlag("no-cold-kernels",
-               "route non-sampling runs through the generic per-access "
-               "loop instead of the phase-specialized cold batch "
-               "kernels; results are identical either way")
-      .addFlag("no-hot-kernels",
-               "route sampling-phase runs through the per-access loop "
-               "instead of the vectorized multi-key probe engine; "
-               "results are identical either way")
       .addFlag("no-sync-batching",
                "deliver every acquire/release individually instead of "
                "coalescing same-thread sync runs into one syncBatch; "
@@ -264,8 +256,8 @@ FileOutcome analyseFile(const std::string &Path,
     Out.Text += Buf;
     // Gather-probe effectiveness: keys the vectorized var-table probe
     // resolved in-block vs. keys that fell back to a scalar walk
-    // (collisions, rehash mid-block). Zero/zero when hot kernels are off
-    // or the detector has no vectorized path.
+    // (collisions, rehash mid-block). Zero/zero for every detector but
+    // PACER, whose sampling-phase batch is the only vectorized probe.
     std::snprintf(Buf, sizeof(Buf),
                   "  probe keys %llu vector-resolved, %llu scalar-fallback\n",
                   static_cast<unsigned long long>(Result.ProbeVectorResolved),
@@ -283,9 +275,10 @@ FileOutcome analyseFile(const std::string &Path,
   std::sort(Reports.begin(), Reports.end());
   size_t Shown = 0;
   for (const std::string &Report : Reports) {
-    if (Shown++ >= MaxReports)
+    if (Shown == MaxReports)
       break;
     Out.Text += "  " + Report + "\n";
+    ++Shown;
   }
   if (Result.DynamicRaces > Shown) {
     std::snprintf(Buf, sizeof(Buf), "  ... (%llu more dynamic reports)\n",
@@ -435,8 +428,6 @@ int main(int Argc, char **Argv) {
   bool SetupOk = false;
   DetectorSetup Setup = setupFromOptions(R, SetupOk);
   Setup.AccordionClocks = R.getBool("accordion");
-  Setup.ColdKernels = !R.getBool("no-cold-kernels");
-  Setup.HotKernels = !R.getBool("no-hot-kernels");
   Setup.SyncBatching = !R.getBool("no-sync-batching");
   if (!SetupOk) {
     std::fprintf(stderr, "error: unknown --detector=%s\n",
