@@ -6,9 +6,9 @@
 ///
 /// \file
 /// An open-addressing hash table mapping dense VarIds to per-variable
-/// detector metadata. This is the PACER detector's hot-path structure: the
-/// inlined read/write fast path is "flag test plus table lookup miss"
-/// (Section 4), so lookup cost is per-event cost. Compared to
+/// detector metadata. This is the PACER detector's hot-path structure:
+/// sampling-period accesses look their variable up on every event, so
+/// lookup cost is per-event cost. Compared to
 /// std::unordered_map (chained nodes, one heap allocation and one pointer
 /// chase per entry), a flat table probes a contiguous power-of-two slot
 /// array with linear probing and a Fibonacci-multiplicative hash: misses
@@ -23,11 +23,22 @@
 /// grow/shrink oscillation PACER's sampling churn induces recycles blocks
 /// through the arena's size-class free lists instead of malloc.
 ///
+/// A dense presence bitmap, one bit per key below BitmapKeyCap, mirrors
+/// the table's membership exactly, so contains() answers a covered key
+/// with one bit test and no probe. It stands in for the word in the
+/// object header that the paper's non-sampling read/write barrier tests
+/// (Section 4): PACER's cold kernel asks it for every access outside a
+/// sampling period, and nearly all of those ask about variables without
+/// metadata. The bitmap is allocated lazily from the same arena and
+/// doubles to cover the largest key inserted; keys at or above the cap
+/// (sparse VarIds, 64-bit keys) set a sticky overflow flag, after which
+/// contains() answers keys above the covered range with the probe.
+///
 /// The key type defaults to VarId but may be any unsigned integer (the
 /// LiteRace sampler table keys by a 64-bit method/thread pair). Keys must
 /// not be the top two values of the key type (the empty and tombstone
-/// sentinels); variable ids are dense from zero, so those are never
-/// legitimate.
+/// sentinels); the trace readers reject both as read/write targets
+/// (validateActionRecord), so no VarId can collide with them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +52,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -55,6 +67,10 @@ template <typename ValueT, typename KeyT = VarId> class FlatVarTable {
   static constexpr KeyT EmptyKey = static_cast<KeyT>(-1);
   static constexpr KeyT TombstoneKey = EmptyKey - 1;
   static constexpr size_t MinCapacity = 16;
+  /// Presence-bitmap bounds in 64-bit words: one cache line at first
+  /// insert, at most 2^26 keys (8 MiB of bits).
+  static constexpr size_t MinBitmapWords = 8;
+  static constexpr uint64_t BitmapKeyCap = uint64_t(1) << 26;
 
   struct Slot {
     KeyT Key = EmptyKey;
@@ -65,7 +81,10 @@ public:
   FlatVarTable() = default;
   FlatVarTable(const FlatVarTable &) = delete;
   FlatVarTable &operator=(const FlatVarTable &) = delete;
-  ~FlatVarTable() { destroySlots(Slots, Capacity); }
+  ~FlatVarTable() {
+    destroySlots(Slots, Capacity);
+    Arena::freeBlock(Bitmap);
+  }
 
   /// Number of live entries.
   size_t size() const { return Live; }
@@ -78,9 +97,20 @@ public:
     return S ? &S->Value : nullptr;
   }
 
+  /// True if \p Key holds a value: one bit test for a key the presence
+  /// bitmap covers. Below BitmapKeyCap the bitmap covers every key ever
+  /// inserted, so an uncovered key is absent unless some key at or above
+  /// the cap was inserted; only then does an uncovered key probe.
+  bool contains(KeyT Key) const {
+    const uint64_t K = Key;
+    if (K < BitmapKeys)
+      return (Bitmap[K >> 6] >> (K & 63)) & 1;
+    return Overflow && findSlot(Key);
+  }
+
   /// Hints the cache to pull in the first probe line for \p Key. A
   /// find(Key) issued a few probes later then usually resolves without a
-  /// memory stall; the PACER cold batch kernel issues these while staging
+  /// memory stall; the PACER hot batch kernel issues these while staging
   /// the next block of accesses. Probe chains longer than one line still
   /// pay for their tail -- the hint covers the common single-line case.
   void prefetch(KeyT Key) const {
@@ -186,6 +216,7 @@ public:
         Target.Key = Key;
         Target.Value = ValueT{};
         ++Live;
+        markPresent(Key);
         return Target.Value;
       }
       if (S.Key == TombstoneKey && FirstTombstone == Capacity)
@@ -202,6 +233,7 @@ public:
     Slot *S = findSlot(Key);
     if (!S)
       return false;
+    markAbsent(Key);
     S->Key = TombstoneKey;
     S->Value = ValueT{};
     --Live;
@@ -210,12 +242,15 @@ public:
     return true;
   }
 
-  /// Drops every entry, keeping the slot array.
+  /// Drops every entry, keeping the slot array and the bitmap.
   void clear() {
     for (size_t I = 0; I < Capacity; ++I) {
       Slots[I].Key = EmptyKey;
       Slots[I].Value = ValueT{};
     }
+    if (Bitmap)
+      std::memset(Bitmap, 0, BitmapKeys / 8);
+    Overflow = false;
     Live = 0;
     Used = 0;
     Tombstones = 0;
@@ -236,6 +271,7 @@ public:
     for (size_t I = 0; I < Capacity; ++I) {
       Slot &S = Slots[I];
       if (isLiveSlot(S) && Fn(S.Key, S.Value)) {
+        markAbsent(S.Key);
         S.Key = TombstoneKey;
         S.Value = ValueT{};
         --Live;
@@ -246,7 +282,7 @@ public:
   }
 
   /// Heap bytes owned by the slot array (the space model adds per-entry
-  /// payload bytes separately).
+  /// payload bytes separately; the presence bitmap is not counted).
   size_t heapBytes() const { return Capacity * sizeof(Slot); }
 
   /// Bytes attributable to the live entries alone, independent of table
@@ -297,6 +333,44 @@ private:
   void maybeShrink() {
     if (Capacity > MinCapacity && Live * 8 <= Capacity)
       rehash();
+  }
+
+  /// Sets \p Key's presence bit, growing the bitmap to cover it, or
+  /// records an overflow key the bitmap will never cover.
+  void markPresent(KeyT Key) {
+    const uint64_t K = Key;
+    if (K >= BitmapKeys) {
+      if (K >= BitmapKeyCap) {
+        Overflow = true;
+        return;
+      }
+      growBitmap(K);
+    }
+    Bitmap[K >> 6] |= uint64_t(1) << (K & 63);
+  }
+
+  void markAbsent(KeyT Key) {
+    const uint64_t K = Key;
+    if (K < BitmapKeys)
+      Bitmap[K >> 6] &= ~(uint64_t(1) << (K & 63));
+  }
+
+  /// Doubles the bitmap (from MinBitmapWords) until it covers \p K <
+  /// BitmapKeyCap. Every size is a power of two, so the cap is never
+  /// exceeded.
+  void growBitmap(uint64_t K) {
+    const size_t OldWords = BitmapKeys / 64;
+    size_t Words = OldWords ? OldWords * 2 : MinBitmapWords;
+    while (Words * 64 <= K)
+      Words *= 2;
+    auto *New =
+        static_cast<uint64_t *>(Arena::allocBlock(Words * sizeof(uint64_t)));
+    if (OldWords)
+      std::memcpy(New, Bitmap, OldWords * sizeof(uint64_t));
+    std::memset(New + OldWords, 0, (Words - OldWords) * sizeof(uint64_t));
+    Arena::freeBlock(Bitmap);
+    Bitmap = New;
+    BitmapKeys = Words * 64;
   }
 
   Slot *findSlot(KeyT Key) const {
@@ -352,6 +426,9 @@ private:
   size_t Used = 0;       ///< Live + tombstones (probe-chain occupancy).
   size_t Tombstones = 0;
   size_t RehashCount = 0; ///< Slot-array reallocations (pointer epochs).
+  uint64_t *Bitmap = nullptr; ///< One presence bit per key < BitmapKeys.
+  size_t BitmapKeys = 0;      ///< Keys the bitmap covers (64 per word).
+  bool Overflow = false;      ///< A key >= BitmapKeyCap went in since clear().
 };
 
 } // namespace pacer

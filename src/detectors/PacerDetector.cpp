@@ -686,7 +686,7 @@ void PacerDetector::accessBatch(std::span<const Action> Batch,
 void PacerDetector::coldAccessBatch(std::span<const Action> Batch,
                                     const AccessShard &Shard) {
   // Bulk fast path: every access in the epoch is the inlined
-  // "flag test + lookup miss" (Section 4). Non-sampling accesses never
+  // "flag test + metadata-bit miss" (Section 4). Non-sampling accesses never
   // insert metadata and nothing else runs inside an epoch, so Vars stays
   // empty for the whole batch; count the owned accesses and return.
   if (Vars.empty()) {
@@ -711,51 +711,25 @@ void PacerDetector::coldAccessBatch(std::span<const Action> Batch,
   }
 
   // Some variables still hold metadata (a sampling period ended recently
-  // and its records have not all been discarded). Stage owned accesses
-  // block-wise into struct-of-arrays, issuing the probe-line prefetch for
-  // each key as it is staged; by the time the probe loop reaches a key,
-  // the staging of the rest of the block (tens of probes) has covered the
-  // prefetch latency. Decisions are never staged -- each probe runs
-  // against the live table, because a hit's read()/write() may erase
-  // entries (hit decisions can go stale in the hit -> miss direction).
-  constexpr size_t BlockSize = 64;
-  VarId Keys[BlockSize];
-  ThreadId Tids[BlockSize];
-  SiteId Sites[BlockSize];
-  uint8_t IsWrite[BlockSize];
-
+  // and its records have not all been discarded). Each owned access tests
+  // its variable's presence bit; only hits -- rare at low rates -- take the
+  // full read()/write() discard logic. The bit is read live per access,
+  // because a hit's read()/write() may erase entries.
   uint64_t FastReads = 0, FastWrites = 0;
-  const size_t N = Batch.size();
-  for (size_t Begin = 0; Begin < N; Begin += BlockSize) {
-    const size_t End = Begin + BlockSize < N ? Begin + BlockSize : N;
-    size_t Staged = 0;
-    for (size_t I = Begin; I < End; ++I) {
-      const Action &A = Batch[I];
-      if (!Shard.owns(A.Target))
-        continue;
-      Keys[Staged] = A.Target;
-      Tids[Staged] = A.Tid;
-      Sites[Staged] = A.Site;
-      IsWrite[Staged] = A.Kind != ActionKind::Read;
-      ++Staged;
-      Vars.prefetch(A.Target);
+  for (const Action &A : Batch) {
+    if (!Shard.owns(A.Target))
+      continue;
+    const uint64_t W = A.Kind != ActionKind::Read;
+    if (Vars.contains(A.Target)) {
+      if (W)
+        write(A.Tid, A.Target, A.Site);
+      else
+        read(A.Tid, A.Target, A.Site);
+      continue;
     }
-    for (size_t J = 0; J < Staged; ++J) {
-      if (Vars.find(Keys[J])) {
-        // Rare: tracked metadata. The full slow path re-probes a line the
-        // block prefetch already pulled in and keeps the discard rules in
-        // exactly one place.
-        if (IsWrite[J])
-          write(Tids[J], Keys[J], Sites[J]);
-        else
-          read(Tids[J], Keys[J], Sites[J]);
-        continue;
-      }
-      // Miss: the inlined fast path, folded into branchless counters.
-      const uint64_t W = IsWrite[J];
-      FastWrites += W;
-      FastReads += W ^ 1;
-    }
+    // Miss: the inlined fast path, folded into branchless counters.
+    FastWrites += W;
+    FastReads += W ^ 1;
   }
   Stats.ReadFastNonSampling += FastReads;
   Stats.WriteFastNonSampling += FastWrites;

@@ -26,8 +26,10 @@
 /// detected with probability equal to the sampling rate.
 ///
 /// Read/write instrumentation follows the paper's inlined fast path: when
-/// not sampling and the variable has no metadata, the hook returns after a
-/// single flag-and-lookup check.
+/// not sampling and the variable has no metadata, the cold batch kernel
+/// spends the sampling-flag test and one presence-bit test
+/// (FlatVarTable::contains) on the access, the replay's stand-in for the
+/// paper's object-header word.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -267,12 +269,11 @@ private:
   /// The non-sampling cold kernel: analyses one phase-pure epoch with no
   /// per-access dispatch. With no tracked variables the epoch reduces to
   /// two counter additions (non-sampling accesses never insert metadata,
-  /// so emptiness is loop-invariant downward). Otherwise accesses are
-  /// staged block-wise into (var, tid, isWrite) struct-of-arrays, the
-  /// FlatVarTable probe line of each staged key is prefetched a block
-  /// ahead of its probe, misses fold into branchless fast-path counters,
-  /// and only hits -- rare at low rates -- fall through to the full
-  /// read()/write() discard logic. Bit-identical to the per-access loop.
+  /// so emptiness is loop-invariant downward). Otherwise each owned access
+  /// tests its variable's FlatVarTable presence bit: misses fold into
+  /// branchless fast-path counters, and only hits -- rare at low rates --
+  /// fall through to the full read()/write() discard logic. Bit-identical
+  /// to the per-access loop.
   void coldAccessBatch(std::span<const Action> Batch,
                        const AccessShard &Shard);
 
@@ -315,8 +316,10 @@ private:
   std::vector<ThreadState> Threads;
   std::vector<SyncObjState> Locks;
   std::vector<SyncObjState> Volatiles;
-  /// Open-addressing flat table: the read/write fast path is one probe
-  /// (usually one cache line) instead of a chained unordered_map lookup.
+  /// Open-addressing flat table: a non-sampling access to a variable
+  /// without metadata costs one presence-bit test, and a sampled access
+  /// one probe (usually one cache line) instead of a chained
+  /// unordered_map lookup.
   FlatVarTable<VarState> Vars;
 
   /// Accordion-clock slot allocation and retirement (idle unless

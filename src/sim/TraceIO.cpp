@@ -151,9 +151,17 @@ bool pacer::unpackBinaryRecord(const unsigned char *In, Action &A) {
 }
 
 const char *pacer::validateActionRecord(const Action &A) {
-  if ((A.Kind == ActionKind::Fork || A.Kind == ActionKind::Join) &&
-      A.Target > MaxActionTid)
+  // One compare settles nearly every record: a target inside the tid
+  // space is legal for every kind.
+  if (A.Target <= MaxActionTid)
+    return nullptr;
+  if (A.Target == InvalidId)
+    return A.Kind == ActionKind::ThreadExit ? nullptr : "missing target id";
+  if (A.Kind == ActionKind::Fork || A.Kind == ActionKind::Join)
     return "fork/join child thread id out of range";
+  if ((A.Kind == ActionKind::Read || A.Kind == ActionKind::Write) &&
+      A.Target == InvalidId - 1)
+    return "variable id out of range";
   return nullptr;
 }
 

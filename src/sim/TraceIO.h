@@ -89,13 +89,17 @@ void packBinaryRecord(const Action &A, unsigned char *Out);
 /// Decodes one record; returns false on an out-of-range kind byte.
 bool unpackBinaryRecord(const unsigned char *In, Action &A);
 
-/// Validates a decoded record's fields beyond the kind byte: Fork and
-/// Join carry a child ThreadId in Target, which must fit the 24-bit tid
-/// space (MaxActionTid) like every other tid -- a larger value cannot
-/// have come from the writer and would grow per-thread detector state
-/// without bound. Returns nullptr for a well-formed record, else a
-/// static reason string. Every trace read path (buffered, mmap view,
-/// streaming, text) applies this before handing actions to analysis.
+/// Validates a decoded record's fields beyond the kind byte. Only
+/// ThreadExit may omit its target (InvalidId, "-" in text): detectors
+/// size their per-target state as Target + 1, which wraps to 0 for
+/// InvalidId. A read or write target must also not be InvalidId - 1,
+/// FlatVarTable's tombstone sentinel. Fork and Join carry a child
+/// ThreadId in Target, which must fit the 24-bit tid space (MaxActionTid)
+/// like every other tid -- a larger value cannot have come from the
+/// writer and would grow per-thread detector state without bound.
+/// Returns nullptr for a well-formed record, else a static reason
+/// string. Every trace read path (buffered, mmap view, streaming, text)
+/// applies this before handing actions to analysis.
 const char *validateActionRecord(const Action &A);
 
 /// Renders the 24-byte v2 header for \p Count records into \p Out.

@@ -54,10 +54,10 @@ TraceView &TraceView::operator=(TraceView &&Other) noexcept {
 
 namespace {
 
-/// Validates every record (kind byte plus the fork/join tid-range rule);
-/// returns the index of the first bad record or -1, with \p Why set. The
-/// scan touches one byte per 12 for most records and runs at memory
-/// bandwidth -- the whole "parse" cost of the zero-copy path.
+/// Validates every record (kind byte plus validateActionRecord's target
+/// rules); returns the index of the first bad record or -1, with \p Why
+/// set. The scan reads the kind byte and target of each record and runs
+/// at memory bandwidth -- the whole "parse" cost of the zero-copy path.
 int64_t firstBadRecord(TraceSpan T, const char *&Why) {
   for (size_t I = 0; I < T.size(); ++I) {
     if (static_cast<uint8_t>(T[I].Kind) >

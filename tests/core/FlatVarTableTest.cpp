@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <random>
+#include <vector>
 
 using namespace pacer;
 
@@ -152,12 +154,52 @@ TEST(FlatVarTableTest, ClearKeepsCapacity) {
   EXPECT_EQ(*Table.find(10), 7);
 }
 
-TEST(FlatVarTableTest, MatchesReferenceMapUnderChurn) {
-  FlatVarTable<uint64_t> Table;
-  std::map<VarId, uint64_t> Reference;
-  std::mt19937 Rng(12345);
-  for (int Op = 0; Op < 20000; ++Op) {
-    VarId Key = Rng() % 512;
+namespace {
+
+constexpr uint64_t BitmapCap = uint64_t(1) << 26;
+
+/// Widening key universes for the churn harness, one per stage: dense
+/// keys; then a second dense block far above them, which the presence
+/// bitmap doubles to cover; then keys on both sides of the bitmap's
+/// 2^26-key cap and, for 64-bit keys, keys past 32 bits.
+template <typename KeyT> std::vector<std::vector<KeyT>> churnStages() {
+  std::vector<std::vector<KeyT>> Stages(3);
+  for (uint64_t K = 0; K < 256; ++K)
+    Stages[0].push_back(static_cast<KeyT>(K));
+  Stages[1] = Stages[0];
+  for (uint64_t K = 4096; K < 4352; ++K)
+    Stages[1].push_back(static_cast<KeyT>(K));
+  Stages[2] = Stages[1];
+  for (uint64_t K = BitmapCap - 32; K < BitmapCap + 32; ++K)
+    Stages[2].push_back(static_cast<KeyT>(K));
+  if constexpr (sizeof(KeyT) == sizeof(uint64_t))
+    for (uint64_t K = 0; K < 32; ++K)
+      Stages[2].push_back((uint64_t(7) << 40) + K);
+  return Stages;
+}
+
+/// Random insert/erase/find churn against std::map, widening the key
+/// universe stage by stage, with periodic mass discards (eraseIf, which
+/// shrinks the slot array) and clear()s. After every mutation contains()
+/// must agree with find() on every key of every stage -- live, erased, and
+/// not yet inserted -- and on keys never inserted at all, including keys
+/// above the largest inserted key on both sides of the bitmap cap.
+template <typename KeyT> void churnAgainstReference(uint32_t Seed) {
+  FlatVarTable<uint64_t, KeyT> Table;
+  std::map<KeyT, uint64_t> Reference;
+  const std::vector<std::vector<KeyT>> Stages = churnStages<KeyT>();
+  std::vector<KeyT> Probes = Stages.back();
+  for (uint64_t K : {uint64_t(300), uint64_t(5000), BitmapCap + 4096})
+    Probes.push_back(static_cast<KeyT>(K));
+  Probes.push_back(std::numeric_limits<KeyT>::max() - 2);
+
+  std::mt19937 Rng(Seed);
+  constexpr int Ops = 21000;
+  size_t Grows = 0, Shrinks = 0;
+  for (int Op = 0; Op < Ops; ++Op) {
+    const std::vector<KeyT> &Keys = Stages[Op * Stages.size() / Ops];
+    const KeyT Key = Keys[Rng() % Keys.size()];
+    const size_t Bytes = Table.heapBytes();
     switch (Rng() % 3) {
     case 0: {
       uint64_t Value = Rng();
@@ -172,15 +214,37 @@ TEST(FlatVarTableTest, MatchesReferenceMapUnderChurn) {
       auto It = Reference.find(Key);
       uint64_t *Found = Table.find(Key);
       ASSERT_EQ(Found != nullptr, It != Reference.end());
-      if (Found)
+      if (Found) {
         EXPECT_EQ(*Found, It->second);
+      }
       break;
     }
     }
+    if (Op % 1000 == 999) {
+      // Mass discard keeping about one entry in eight.
+      Table.eraseIf([](KeyT, uint64_t &Value) { return (Value & 7) != 0; });
+      std::erase_if(Reference,
+                    [](const auto &Entry) { return (Entry.second & 7) != 0; });
+    }
+    if (Op % 5000 == 4999) {
+      Table.clear();
+      Reference.clear();
+    }
+    Grows += Table.heapBytes() > Bytes;
+    Shrinks += Table.heapBytes() < Bytes;
+    ASSERT_EQ(Table.size(), Reference.size()) << "op " << Op;
+    for (KeyT Probe : Probes) {
+      if (Table.contains(Probe) != (Table.find(Probe) != nullptr)) {
+        FAIL() << "contains() disagrees with find() at op " << Op
+               << " key " << Probe;
+      }
+    }
   }
-  EXPECT_EQ(Table.size(), Reference.size());
+  EXPECT_GT(Grows, 0u);
+  EXPECT_GT(Shrinks, 0u);
+
   size_t Visited = 0;
-  Table.forEach([&](VarId Key, const uint64_t &Value) {
+  Table.forEach([&](KeyT Key, const uint64_t &Value) {
     ++Visited;
     auto It = Reference.find(Key);
     ASSERT_NE(It, Reference.end());
@@ -189,12 +253,19 @@ TEST(FlatVarTableTest, MatchesReferenceMapUnderChurn) {
   EXPECT_EQ(Visited, Reference.size());
 }
 
+} // namespace
+
+TEST(FlatVarTableTest, MatchesReferenceMapUnderChurn) {
+  churnAgainstReference<VarId>(12345);
+  churnAgainstReference<uint64_t>(54321);
+}
+
 namespace {
 
 /// Drives a FlatVarTable through a random insert/erase schedule and
-/// cross-checks findBlock against per-key find() after every mutation
-/// burst. Small key universes produce dense tables rich in collision
-/// chains; heavy erasure produces tombstone chains the gather's
+/// cross-checks findBlock and contains() against per-key find() after
+/// every mutation burst. Small key universes produce dense tables rich in
+/// collision chains; heavy erasure produces tombstone chains the gather's
 /// first-slot screen cannot resolve (forcing the scalar fallback).
 void differentialFindBlockCheck(uint32_t KeyUniverse, double EraseProb,
                                 uint64_t Seed) {
@@ -226,6 +297,7 @@ void differentialFindBlockCheck(uint32_t KeyUniverse, double EraseProb,
       EXPECT_EQ(Got[I], Want)
           << "universe " << KeyUniverse << " round " << Round << " key "
           << Keys[I];
+      EXPECT_EQ(Table.contains(Keys[I]), Want != nullptr) << Keys[I];
       if (Want) {
         EXPECT_EQ(*Got[I], *Want);
       }

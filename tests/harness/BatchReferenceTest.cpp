@@ -10,11 +10,12 @@
 //
 // The matrix crosses Generic, FastTrack, PACER at r = 3% and 50%, and
 // LiteRace; shard counts {1, 4}; the indexed and full-scan engines; and
-// in-memory and streamed input. It is split by where the setups spend
-// their accesses: ColdPathEquivalenceTest runs PACER at r = 3% and
-// LiteRace, whose accesses mostly take the non-sampling (cold) path, and
-// HotPathEquivalenceTest runs Generic, FastTrack and PACER at r = 50%,
-// which analyse most or all of theirs. PACER runs with a small simulated
+// in-memory and streamed input; PACER at r = 3% also runs on sparse
+// VarIds past the var table's presence-bitmap cap. It is split by where
+// the setups spend their accesses: ColdPathEquivalenceTest runs PACER at
+// r = 3% and LiteRace, whose accesses mostly take the non-sampling (cold)
+// path, and HotPathEquivalenceTest runs Generic, FastTrack and PACER at
+// r = 50%, which analyse most or all of theirs. PACER runs with a small simulated
 // nursery, so period boundaries toggle sampling mid-run and both its cold
 // and hot batches run at either rate. The stream's 700-action window cuts
 // access runs at chunk edges unrelated to phase boundaries. LiteRace runs
@@ -311,6 +312,41 @@ TEST(ColdPathEquivalenceTest, ColdKernelsBitIdenticalOnTraces) {
 
 TEST(ColdPathEquivalenceTest, ColdKernelsBitIdenticalOnStreamedFiles) {
   expectSetupsMatchReference(coldSetups(), Input::Streamed);
+}
+
+TEST(ColdPathEquivalenceTest, ColdKernelBitIdenticalOnSparseVarIds) {
+  // Generated VarIds are dense, so they all fall inside FlatVarTable's
+  // presence bitmap. Renaming every read/write target v to v * 65537 in an
+  // eclipse-sized variable space pushes most of them past the bitmap's
+  // 2^26-key cap, where PACER's cold kernel answers through the overflow
+  // probe instead of a bit test. 65537 = 1 (mod 4), so VarId % K shard
+  // ownership is unchanged at K = 4.
+  CompiledWorkload Workload(scaleWorkload(eclipseModel(), 0.05));
+  const uint64_t Seed = 29;
+  Trace T = generateTrace(Workload, Seed);
+  size_t Accesses = 0, PastCap = 0;
+  for (Action &A : T) {
+    if (A.Kind != ActionKind::Read && A.Kind != ActionKind::Write)
+      continue;
+    ASSERT_LT(A.Target, 65535u) << "v * 65537 would reach a sentinel";
+    A.Target *= 65537;
+    ++Accesses;
+    PastCap += A.Target >= (1u << 26);
+  }
+  ASSERT_GT(PastCap * 2, Accesses);
+
+  for (unsigned Shards : {1u, 4u}) {
+    const AnalysisRequest Request = requestFor(
+        pacerWithShortPeriods(0.03), Shards, /*UseIndex=*/true, Seed);
+    const AnalysisResult Got =
+        AnalysisSession(Workload, Request).analyzeTrace(T);
+    expectSameAnalysis(Got, referenceAnalysis(Workload, Request, T),
+                       cellName("pacer_r3 sparse", Shards, true));
+    // The cold kernel met tracked variables (slow non-sampling hits), so
+    // the overflow probe decided some of its accesses.
+    EXPECT_GT(Got.Stats.ReadSlowNonSampling + Got.Stats.WriteSlowNonSampling,
+              0u);
+  }
 }
 
 TEST(HotPathEquivalenceTest, HotEngineBitIdenticalOnTraces) {

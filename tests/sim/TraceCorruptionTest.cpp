@@ -131,6 +131,35 @@ std::vector<CorpusEntry> corruptCorpus() {
     Corpus.push_back({"join_tid_out_of_range", binaryImage(Bad)});
   }
 
+  // Only a thread exit may omit its target: detectors size per-target
+  // state as Target + 1, which wraps to 0 for InvalidId, and a read or
+  // write of InvalidId - 1 would land on the var table's tombstone key.
+  {
+    Trace Bad = T;
+    Bad[4].Target = InvalidId; // The read.
+    Corpus.push_back({"read_missing_target", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[2].Target = InvalidId; // The write.
+    Corpus.push_back({"write_missing_target", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[1].Target = InvalidId; // The acquire.
+    Corpus.push_back({"acquire_missing_target", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[2] = {ActionKind::VolatileWrite, 1, InvalidId, 42};
+    Corpus.push_back({"volatile_write_missing_target", binaryImage(Bad)});
+  }
+  {
+    Trace Bad = T;
+    Bad[4].Target = InvalidId - 1; // The read.
+    Corpus.push_back({"read_tombstone_target", binaryImage(Bad)});
+  }
+
   return Corpus;
 }
 
@@ -200,7 +229,8 @@ TEST(TraceCorruptionTest, CorpusBaseImageIsAccepted) {
 
 TEST(TraceCorruptionTest, EmptyAndGarbageFilesRejectCleanly) {
   // Not valid in either format: empty file, pure garbage (classifies as
-  // text), and a text header followed by garbage.
+  // text), a text header followed by garbage, and well-formed lines whose
+  // lock or variable is "-" (InvalidId).
   const struct {
     const char *Name;
     const char *Bytes;
@@ -208,6 +238,8 @@ TEST(TraceCorruptionTest, EmptyAndGarbageFilesRejectCleanly) {
       {"empty", ""},
       {"garbage_text", "not a trace at all\n"},
       {"text_bad_body", "pacer-trace v1 2\nrd 0 1 2\nbogus line here\n"},
+      {"text_missing_lock", "pacer-trace v1 2\nacq 0 - -\nrel 0 - -\n"},
+      {"text_missing_var", "pacer-trace v1 2\nwr 0 - 1\nwr 1 - 2\n"},
   };
   for (const auto &Case : Cases) {
     std::string Path = writeCorpusFile(

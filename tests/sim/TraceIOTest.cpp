@@ -133,7 +133,8 @@ std::string writeBytes(const std::string &Name, const std::string &Bytes) {
 
 /// A hand trace exercising the encoding's edge values: InvalidId targets
 /// and sites, the AwaitVolatile kind (spin-loop threshold reads carry a
-/// Site), the maximal 24-bit thread id, and extreme target/site values.
+/// Site), the maximal 24-bit thread id, and extreme target/site values
+/// (the largest VarId the readers accept is InvalidId - 2).
 Trace edgeCaseTrace() {
   Trace T = TraceBuilder()
                 .fork(0, 1)
@@ -145,7 +146,7 @@ Trace edgeCaseTrace() {
                 .join(0, 1)
                 .take();
   T.push_back({ActionKind::AwaitVolatile, 0, 2, 1});
-  T.push_back({ActionKind::Read, MaxActionTid, 0xFFFFFFFEu, 0xFFFFFFFEu});
+  T.push_back({ActionKind::Read, MaxActionTid, 0xFFFFFFFDu, 0xFFFFFFFEu});
   T.push_back({ActionKind::ThreadExit, 0, InvalidId, InvalidId});
   return T;
 }
