@@ -85,10 +85,7 @@ inline OptionRegistry benchOptionRegistry(const std::string &Usage,
       .addString("shards", "1",
                  "variable shards per trial replay (intra-trial "
                  "parallelism): a count, or 'auto' to pick from trace "
-                 "size and hardware")
-      .addFlag("pin-threads",
-               "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
-               "best-effort, no-op where unsupported");
+                 "size and hardware");
   return R;
 }
 
@@ -102,11 +99,6 @@ inline BenchOptions benchOptionsFrom(const OptionRegistry &R) {
   int64_t Jobs = R.getInt("jobs");
   Options.Jobs = Jobs < 1 ? 1u : static_cast<unsigned>(Jobs);
   Options.Shards = parseShardCount(R.getString("shards"));
-  if (R.getBool("pin-threads"))
-    setThreadPinning(true);
-  if (threadPinningEnabled())
-    std::fprintf(stderr, "[pin] worker CPU affinity on (%u cpus)\n",
-                 hardwareJobs());
   std::string Name = R.getString("workload");
   std::vector<WorkloadSpec> All = paperWorkloads();
   for (WorkloadSpec &Spec : All)

@@ -28,13 +28,13 @@
 #include "sim/Workloads.h"
 #include "support/CommandLine.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -519,14 +519,16 @@ double measureDispatchOverheadNs(kernels::Isa Kind, uint32_t Reps) {
 }
 
 /// Runs measureKernels under every ISA available on this build/host (the
-/// resolved path first), restoring the dispatcher afterwards.
+/// resolved path first, then best to worst), restoring the dispatcher
+/// afterwards.
 std::vector<IsaSweep> measureIsaSweeps(uint32_t Reps) {
   using kernels::Isa;
   const Isa Resolved = kernels::activeIsaKind();
   std::vector<Isa> Order{Resolved};
-  for (Isa Kind : {Isa::Avx2, Isa::Neon, Isa::Sse2, Isa::Scalar})
-    if (Kind != Resolved && kernels::isaAvailable(Kind))
-      Order.push_back(Kind);
+  for (auto It = std::rbegin(kernels::AllIsas);
+       It != std::rend(kernels::AllIsas); ++It)
+    if (*It != Resolved && kernels::isaAvailable(*It))
+      Order.push_back(*It);
   std::vector<IsaSweep> Sweeps;
   for (Isa Kind : Order) {
     kernels::setForceIsa(Kind);
@@ -558,10 +560,7 @@ int runJsonMode(int Argc, const char *const *Argv) {
       .addDouble("scale", 1.0, "workload scale factor")
       .addInt("seed", 12345, "trace seed")
       .addString("shards", "1",
-                 "variable shards per trial replay: a count or 'auto'")
-      .addFlag("pin-threads",
-               "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
-               "best-effort, no-op where unsupported");
+                 "variable shards per trial replay: a count or 'auto'");
   if (!R.parse(Argc, Argv))
     return R.helpRequested() ? 0 : 2;
   std::string OutPath = R.getString("json-out");
@@ -569,11 +568,6 @@ int runJsonMode(int Argc, const char *const *Argv) {
   double Scale = R.getDouble("scale");
   uint64_t Seed = static_cast<uint64_t>(R.getInt("seed"));
   unsigned Shards = parseShardCount(R.getString("shards"));
-  if (R.getBool("pin-threads"))
-    setThreadPinning(true);
-  if (threadPinningEnabled())
-    std::fprintf(stderr, "[pin] worker CPU affinity on (%u cpus)\n",
-                 hardwareJobs());
 
   // Kernel rows first: the primitive the detector rows are built on. Every
   // ISA path compiled in and supported by this host is swept via the force

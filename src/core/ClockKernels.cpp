@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
+#include <iterator>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
@@ -149,9 +149,9 @@ bool isaSupported(Isa Kind) {
 }
 
 Isa bestAvailableIsa() {
-  for (Isa Kind : {Isa::Avx512, Isa::Avx2, Isa::Neon, Isa::Sse2})
-    if (isaAvailable(Kind))
-      return Kind;
+  for (auto It = std::rbegin(AllIsas); It != std::rend(AllIsas); ++It)
+    if (isaAvailable(*It))
+      return *It;
   return Isa::Scalar;
 }
 
@@ -215,8 +215,7 @@ const char *isaName(Isa Kind) {
 }
 
 bool parseIsaName(const char *Text, Isa &Out) {
-  for (Isa Kind :
-       {Isa::Scalar, Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+  for (Isa Kind : AllIsas) {
     if (std::strcmp(Text, isaName(Kind)) == 0) {
       Out = Kind;
       return true;
@@ -264,13 +263,6 @@ bool setForceIsa(Isa Kind) {
 void clearForceIsa() {
   DefaultKind = resolveDefaultIsa();
   Active = opsFor(DefaultKind);
-}
-
-void setForceScalarForTest(bool Force) {
-  if (Force)
-    setForceIsa(Isa::Scalar);
-  else
-    clearForceIsa();
 }
 
 bool joinMax(uint32_t *A, const uint32_t *B, size_t N) {

@@ -49,6 +49,12 @@ namespace pacer::kernels {
 /// exists.
 enum class Isa : uint8_t { Scalar = 0, Sse2, Neon, Avx2, Avx512 };
 
+/// Every Isa value, in the enum's (ascending preference) order. Iterate
+/// this wherever all paths are listed; walk it backwards to try the best
+/// path first.
+inline constexpr Isa AllIsas[] = {Isa::Scalar, Isa::Sse2, Isa::Neon,
+                                  Isa::Avx2, Isa::Avx512};
+
 /// One dispatch table entry: the kernel function pointers for a single
 /// ISA, plus identification. copyWords is not in the table -- it is always
 /// memcpy, which libc already dispatches per-ISA on its own.
@@ -137,17 +143,12 @@ const char *activeIsa();
 
 /// Forces every kernel through \p Kind's path. Returns false (and changes
 /// nothing) when the ISA is not available on this build/host. Not
-/// thread-safe; flip it only from single-threaded setup/teardown, same
-/// contract as setForceScalarForTest always had.
+/// thread-safe; flip it only from single-threaded setup/teardown.
 bool setForceIsa(Isa Kind);
 
 /// Drops any programmatic force and re-resolves: PACER_FORCE_ISA if set
 /// and available, else the best available path.
 void clearForceIsa();
-
-/// Test hook retained from the compile-time-dispatch era: Force=true is
-/// setForceIsa(Isa::Scalar), Force=false is clearForceIsa().
-void setForceScalarForTest(bool Force);
 
 /// Scalar reference implementations, always compiled, used as the
 /// fallback path and by differential tests / benchmark baselines.

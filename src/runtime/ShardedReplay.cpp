@@ -66,10 +66,6 @@ ShardedReplayResult pacer::shardedReplay(TraceSpan T,
       Index = &OwnedIndex.emplace(TraceIndex::build(T, Shards));
   }
 
-  // Each replica is constructed *inside* its worker task: with pinning on,
-  // the worker's pinned NUMA node is ambient when the detector's Arena
-  // carves slabs, so every replica's metadata lands node-local to the
-  // thread that replays it (see support/Topology.h).
   std::vector<std::unique_ptr<ReplicaOutcome>> Replicas =
       parallelMap(Jobs, Shards, [&](size_t Shard) {
         auto Out = std::make_unique<ReplicaOutcome>();

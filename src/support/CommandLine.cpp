@@ -159,6 +159,17 @@ int64_t OptionRegistry::getInt(const std::string &Name) const {
   return Parsed;
 }
 
+bool OptionRegistry::intInRange(const std::string &Name, int64_t Min,
+                                int64_t Max) const {
+  const int64_t Value = getInt(Name);
+  if (Value >= Min && Value <= Max)
+    return true;
+  std::fprintf(stderr, "error: --%s=%lld out of range [%lld, %lld]\n",
+               Name.c_str(), static_cast<long long>(Value),
+               static_cast<long long>(Min), static_cast<long long>(Max));
+  return false;
+}
+
 double OptionRegistry::getDouble(const std::string &Name) const {
   const Option *O = findOption(Name);
   if (!O)

@@ -91,6 +91,11 @@ public:
   std::string getString(const std::string &Name) const;
   bool getBool(const std::string &Name) const;
 
+  /// True if integer option \p Name lies in [Min, Max]; otherwise prints
+  /// an error naming the flag to stderr and returns false (callers exit
+  /// 2). Lets a tool reject a value before a narrowing cast wraps it.
+  bool intInRange(const std::string &Name, int64_t Min, int64_t Max) const;
+
   /// True if the flag was explicitly provided on the command line.
   bool has(const std::string &Name) const;
 

@@ -2,58 +2,15 @@
 
 #include "support/ThreadPool.h"
 
-#include "support/Topology.h"
-
 #include <algorithm>
 #include <cstdlib>
 
 using namespace pacer;
 
-namespace {
-/// -1 = no programmatic override (consult the environment).
-int PinOverride = -1;
-} // namespace
-
-bool pacer::threadPinningEnabled() {
-  if (PinOverride >= 0)
-    return PinOverride != 0;
-  const char *Env = std::getenv("PACER_PIN_THREADS");
-  return Env && *Env && !(Env[0] == '0' && Env[1] == '\0');
-}
-
-void pacer::setThreadPinning(bool Enabled) { PinOverride = Enabled ? 1 : 0; }
-
-void pacer::pinCurrentThread(unsigned Index) {
-  if (!threadPinningEnabled())
-    return;
-  // Topology-ordered assignment: slot I is the I-th CPU of the pin plan,
-  // which exhausts one NUMA node before crossing to the next, so
-  // co-scheduled workers share a node whenever one has capacity. On a
-  // single node the plan is ascending CPU order -- the same CPUs the old
-  // Index % hardwareJobs() round-robin picked. A failed pin (restricted
-  // cpuset, no affinity API) leaves the thread unpinned and its node
-  // unset, exactly as before.
-  topo::pinCurrentThreadToPlanSlot(topo::systemPinPlan(), Index);
-}
-
 ThreadPool::ThreadPool(unsigned WorkerCount) {
   Workers.reserve(WorkerCount);
-  // The pool's N workers plus the controlling thread work one batch
-  // cursor, so the plan is sized for N + 1 concurrent threads: when that
-  // set exceeds every node's CPUs the worker-count-aware plan balances
-  // slots across nodes instead of overflowing fill-first from node 0.
-  std::shared_ptr<const topo::PinPlan> Plan;
-  if (threadPinningEnabled())
-    Plan = std::make_shared<const topo::PinPlan>(
-        topo::buildPinPlan(topo::systemTopology(), WorkerCount + 1));
   for (unsigned I = 0; I < WorkerCount; ++I)
-    Workers.emplace_back([this, I, Plan] {
-      // Worker I takes slot I+1, leaving slot 0 for the controlling
-      // thread, which works the same cursor (see run()).
-      if (Plan)
-        topo::pinCurrentThreadToPlanSlot(*Plan, I + 1);
-      workerLoop();
-    });
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {

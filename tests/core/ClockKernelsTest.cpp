@@ -65,8 +65,11 @@ std::vector<uint32_t> randomWords(Rng &R, size_t N, uint32_t ZeroOdds) {
 
 class ClockKernelsTest : public ::testing::TestWithParam<bool> {
 protected:
-  void SetUp() override { kernels::setForceScalarForTest(GetParam()); }
-  void TearDown() override { kernels::setForceScalarForTest(false); }
+  void SetUp() override {
+    if (GetParam())
+      kernels::setForceIsa(kernels::Isa::Scalar);
+  }
+  void TearDown() override { kernels::clearForceIsa(); }
 };
 
 TEST_P(ClockKernelsTest, JoinMaxMatchesReferenceRandomized) {
@@ -200,9 +203,9 @@ TEST(ClockKernelsIsaTest, ActiveIsaIsNamed) {
   const char *Isa = kernels::activeIsa();
   ASSERT_NE(Isa, nullptr);
   EXPECT_STRNE(Isa, "");
-  kernels::setForceScalarForTest(true);
+  kernels::setForceIsa(kernels::Isa::Scalar);
   EXPECT_STREQ(kernels::activeIsa(), "scalar");
-  kernels::setForceScalarForTest(false);
+  kernels::clearForceIsa();
 }
 
 } // namespace

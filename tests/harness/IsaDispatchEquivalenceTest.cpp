@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -32,8 +33,7 @@ namespace {
 /// Every ISA setForceIsa can succeed for here, scalar always included.
 std::vector<Isa> availableIsas() {
   std::vector<Isa> Out;
-  for (Isa Kind :
-       {Isa::Scalar, Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512})
+  for (Isa Kind : kernels::AllIsas)
     if (kernels::isaAvailable(Kind))
       Out.push_back(Kind);
   return Out;
@@ -71,16 +71,15 @@ TEST_F(IsaDispatchEquivalenceTest, UnavailableIsaIsRefusedUnchanged) {
   EXPECT_EQ(kernels::activeIsaKind(), Before);
 }
 
-TEST_F(IsaDispatchEquivalenceTest, ScalarForceWrapperStillWorks) {
-  kernels::setForceScalarForTest(true);
-  EXPECT_STREQ(kernels::activeIsa(), "scalar");
-  kernels::setForceScalarForTest(false);
-  EXPECT_TRUE(kernels::isaAvailable(kernels::activeIsaKind()));
-}
-
 TEST_F(IsaDispatchEquivalenceTest, IsaNamesRoundTrip) {
-  for (Isa Kind :
-       {Isa::Scalar, Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+  // AllIsas lists the enum in order, which is the order best-path
+  // selection walks (backwards).
+  static_assert(std::size(kernels::AllIsas) ==
+                    static_cast<size_t>(Isa::Avx512) + 1,
+                "one AllIsas entry per Isa value");
+  for (size_t I = 0; I != std::size(kernels::AllIsas); ++I)
+    EXPECT_EQ(static_cast<size_t>(kernels::AllIsas[I]), I);
+  for (Isa Kind : kernels::AllIsas) {
     Isa Parsed = Isa::Scalar;
     ASSERT_TRUE(kernels::parseIsaName(kernels::isaName(Kind), Parsed));
     EXPECT_EQ(Parsed, Kind);

@@ -76,7 +76,7 @@ std::vector<NamedSetup> allSetups() {
 
 class SimdScalarEquivalenceTest : public ::testing::Test {
 protected:
-  void TearDown() override { kernels::setForceScalarForTest(false); }
+  void TearDown() override { kernels::clearForceIsa(); }
 };
 
 void expectSimdScalarInvariant(const WorkloadSpec &Spec, uint64_t Seed) {
@@ -85,11 +85,11 @@ void expectSimdScalarInvariant(const WorkloadSpec &Spec, uint64_t Seed) {
     for (unsigned Shards : {1u, 4u}) {
       DetectorSetup Setup = NS.Setup;
       Setup.Shards = Shards;
-      kernels::setForceScalarForTest(false);
+      kernels::clearForceIsa();
       TrialResult Simd = runTrial(Workload, Setup, Seed);
-      kernels::setForceScalarForTest(true);
+      kernels::setForceIsa(kernels::Isa::Scalar);
       TrialResult Scalar = runTrial(Workload, Setup, Seed);
-      kernels::setForceScalarForTest(false);
+      kernels::clearForceIsa();
       SCOPED_TRACE(std::string(NS.Name) + " shards=" +
                    std::to_string(Shards));
       expectSameResult(Simd, Scalar);

@@ -5,10 +5,11 @@
 // backpressure, drop-directory ingestion, duplicate/malformed/oversize
 // handling, snapshot-based restart, and -- the property everything hangs
 // on -- fleet estimates bit-identical to a single-process pass over the
-// same traces. The subprocess test exercises the real racedetectd binary
+// same traces. The subprocess tests exercise the real racedetectd binary
 // (path injected as PACER_RACEDETECTD by the build) through its full
 // crash story: SIGKILL mid-ingest, restart, recovery, exactly-once
 // resubmission, and a final snapshot equal to the in-process reference.
+// They also check that out-of-range numeric flags exit 2 before binding.
 //
 //===----------------------------------------------------------------------===//
 
@@ -486,6 +487,50 @@ TEST(DaemonTest, KillNineMidIngestThenRestartLosesNoCommittedWork) {
       << Error;
   EXPECT_EQ(FromDisk.serialize(),
             referenceOver(Config, TracePaths).serialize());
+}
+
+/// Waits up to ~10 s for \p Pid to exit; SIGKILLs it after that, so a
+/// daemon that wrongly started serving cannot hang the test.
+int waitOrKill(pid_t Pid) {
+  int WaitStatus = 0;
+  for (int Tick = 0; Tick < 1000; ++Tick) {
+    if (waitpid(Pid, &WaitStatus, WNOHANG) == Pid)
+      return WaitStatus;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  kill(Pid, SIGKILL);
+  waitpid(Pid, &WaitStatus, 0);
+  return WaitStatus;
+}
+
+TEST(DaemonTest, OutOfRangeNumericFlagsExitTwoBeforeBinding) {
+  std::string Dir = scratchDir("badflags");
+  const std::string Sock = Dir + "/d.sock";
+  // Unchecked, each would wrap through a narrowing cast or disable a
+  // limit: -1 workers is 2^32 - 1 threads, -1 MiB lifts the size cap,
+  // port 70000 binds port 4464, and a zero poll or timeout never waits.
+  const char *BadFlags[] = {
+      "--workers=-1",           "--max-connections=0",
+      "--max-connections=-1",   "--max-submission-mb=0",
+      "--max-submission-mb=-1", "--max-submission-mb=17592186044416",
+      "--tcp-port=-2",          "--tcp-port=65536",
+      "--tcp-port=70000",       "--drop-poll-ms=0",
+      "--recv-timeout-ms=0",    "--recv-timeout-ms=-5"};
+  for (const char *Flag : BadFlags) {
+    SCOPED_TRACE(Flag);
+    std::error_code Ec;
+    fs::remove(Sock, Ec); // Keep one failure from masking the next.
+    int OutFd = -1;
+    pid_t Pid = spawnDaemon(
+        {"--listen=" + Sock, "--snapshot=" + Dir + "/fleet.snap", Flag},
+        OutFd);
+    ASSERT_GT(Pid, 0);
+    int WaitStatus = waitOrKill(Pid);
+    close(OutFd);
+    EXPECT_TRUE(WIFEXITED(WaitStatus));
+    EXPECT_EQ(WEXITSTATUS(WaitStatus), 2);
+    EXPECT_FALSE(fs::exists(Sock));
+  }
 }
 
 #endif // PACER_RACEDETECTD

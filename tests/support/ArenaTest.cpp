@@ -8,8 +8,6 @@
 
 #include "support/Arena.h"
 
-#include "support/Topology.h"
-
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -160,32 +158,6 @@ TEST(ArenaTest, ArenaAllocatorVectorOutlivesScope) {
   void *P = A.allocate(512 * sizeof(int));
   EXPECT_NE(P, nullptr); // Arena still coherent.
   Arena::freeBlock(P);
-}
-
-TEST(ArenaTest, SlabsFollowAllocationNodeOverride) {
-  // With no node resolved, slabs are plain heap memory.
-  ASSERT_EQ(topo::currentAllocationNode(), -1);
-  {
-    Arena Plain;
-    void *P = Plain.allocate(64);
-    ASSERT_NE(P, nullptr);
-    EXPECT_EQ(Plain.nodePlacedSlabs(), 0u);
-    Arena::freeBlock(P);
-  }
-  // With the override set (the bench/test seam), every fresh slab goes
-  // through placement (mbind best-effort + first-touch) and is counted.
-  // Node 0 always exists, so the memory stays usable either way.
-  topo::setAllocationNodeOverride(0);
-  {
-    Arena Placed;
-    void *P = Placed.allocate(64);
-    ASSERT_NE(P, nullptr);
-    EXPECT_GE(Placed.nodePlacedSlabs(), 1u);
-    std::memset(P, 0x5a, 64);
-    EXPECT_EQ(static_cast<unsigned char *>(P)[63], 0x5a);
-    Arena::freeBlock(P);
-  }
-  topo::setAllocationNodeOverride(-1);
 }
 
 } // namespace

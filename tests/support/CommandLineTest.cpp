@@ -125,6 +125,14 @@ TEST(OptionRegistryTest, PositionalCollected) {
   EXPECT_EQ(R.positional()[1], "b.trace");
 }
 
+TEST(OptionRegistryTest, IntInRange) {
+  OptionRegistry R = sampleRegistry();
+  EXPECT_TRUE(parseInto(R, {"--trials=-1"}));
+  EXPECT_FALSE(R.intInRange("trials", 0, 100));
+  EXPECT_TRUE(R.intInRange("trials", -1, 100));
+  EXPECT_FALSE(R.intInRange("trials", -5, -2));
+}
+
 TEST(OptionRegistryTest, LastOccurrenceWins) {
   OptionRegistry R = sampleRegistry();
   EXPECT_TRUE(parseInto(R, {"--trials=1", "--trials=2"}));

@@ -7,8 +7,8 @@
 // the files are processed concurrently (output stays in argument order),
 // and --shards=K splits each replay across K detector replicas with
 // bit-identical results. --shards=auto picks K per trace from its access
-// count and the hardware; batch runs (more than one trace file) default
-// to auto, single-file runs to 1.
+// count and the hardware; the default is 1 (sequential replay) for any
+// number of files.
 //
 // All analysis goes through runtime/AnalysisSession.h -- this tool is a
 // thin printer over AnalysisResult. Traces come in two formats (see
@@ -22,7 +22,8 @@
 //   racedetect --generate=eclipse --scale=0.2 --seed=7 --out=run.trace \
 //              --trace-format=binary
 //   racedetect run.trace --detector=pacer --rate=0.03 --stats
-//   racedetect a.trace b.trace c.trace --jobs=3 --shards=4
+//   racedetect a.trace b.trace c.trace --jobs=3
+//   racedetect huge.trace --shards=4
 //   racedetect huge.trace --stream --stream-window=65536
 //   racedetect --submit --socket=/run/racedetectd.sock a.trace b.trace
 //   racedetect --daemon-stats --socket=/run/racedetectd.sock
@@ -40,7 +41,6 @@
 #include "support/Socket.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
-#include "support/Topology.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -86,15 +86,9 @@ OptionRegistry buildRegistry() {
               static_cast<int64_t>(StreamingTraceReader::DefaultWindowActions),
               "streaming window size in actions")
       .addInt("jobs", 1, "analyse this many trace files concurrently")
-      .addString("shards", "",
-                 "variable shards per trace replay: a count or 'auto' "
-                 "(empty = auto for multi-file batches, 1 otherwise)")
-      .addFlag("pin-threads",
-               "pin pool workers to CPUs (also PACER_PIN_THREADS=1); "
-               "best-effort, no-op where unsupported")
-      .addFlag("cpu-info",
-               "print resolved kernel ISA, CPU/NUMA topology, and the "
-               "worker pin plan, then exit")
+      .addString("shards", "1",
+                 "variable shards per trace replay: a count or 'auto'")
+      .addFlag("cpu-info", "print the resolved kernel ISA, then exit")
       .addFlag("submit",
                "send the trace files to a racedetectd daemon instead of "
                "analysing locally")
@@ -377,16 +371,11 @@ int daemonStatsMode(const OptionRegistry &R) {
   return 0;
 }
 
-/// The one-stop hardware diagnostic: what the dispatcher resolved, what
-/// it could have picked, and where workers/slabs would land with pinning
-/// on.
-int cpuInfoMode(const OptionRegistry &R) {
-  using kernels::Isa;
-  if (R.getBool("pin-threads"))
-    setThreadPinning(true);
+/// The hardware diagnostic: what the dispatcher resolved and what it could
+/// have picked.
+int cpuInfoMode() {
   std::string Compiled;
-  for (Isa Kind :
-       {Isa::Scalar, Isa::Sse2, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+  for (kernels::Isa Kind : kernels::AllIsas) {
     if (!kernels::opsFor(Kind))
       continue;
     if (!Compiled.empty())
@@ -396,10 +385,6 @@ int cpuInfoMode(const OptionRegistry &R) {
   std::printf("kernel isa: %s (detected %s, compiled %s)\n",
               kernels::activeIsa(),
               kernels::isaName(kernels::detectedIsa()), Compiled.c_str());
-  std::printf("topology: %s\n", topo::summary().c_str());
-  std::printf("pinning: %s (--pin-threads / PACER_PIN_THREADS=1)\n",
-              threadPinningEnabled() ? "on" : "off");
-  std::printf("pin plan: %s\n", topo::planSummary(16).c_str());
   return 0;
 }
 
@@ -409,9 +394,11 @@ int main(int Argc, char **Argv) {
   OptionRegistry R = buildRegistry();
   if (!R.parse(Argc, Argv))
     return R.helpRequested() ? 0 : 2;
+  if (!R.intInRange("tcp-port", -1, 65535))
+    return 2;
 
   if (R.getBool("cpu-info"))
-    return cpuInfoMode(R);
+    return cpuInfoMode();
   if (R.has("generate"))
     return generateMode(R);
   if (R.getBool("submit"))
@@ -441,16 +428,9 @@ int main(int Argc, char **Argv) {
   int64_t WindowFlag = R.getInt("stream-window");
   int64_t JobsFlag = R.getInt("jobs");
   unsigned Jobs = JobsFlag < 1 ? 1u : static_cast<unsigned>(JobsFlag);
-  // Empty --shards defaults to auto-tuning for multi-file batches (where
-  // per-trace tuning pays off) and plain sequential replay for one file.
-  const std::string ShardsText = R.getString("shards");
-  Setup.Shards = ShardsText.empty() ? (Files.size() > 1 ? 0u : 1u)
-                                    : parseShardCount(ShardsText);
-  if (R.getBool("pin-threads"))
-    setThreadPinning(true);
-  if (threadPinningEnabled())
-    std::fprintf(stderr, "[pin] worker CPU affinity on (%u cpus)\n",
-                 hardwareJobs());
+  // Auto-sharding is opt-in: measured batches ran slower auto-sharded
+  // than at K = 1.
+  Setup.Shards = parseShardCount(R.getString("shards"));
 
   AnalysisRequest Request;
   Request.Setup = Setup;

@@ -27,12 +27,12 @@
 #include "runtime/IngestServer.h"
 #include "runtime/TraceIndex.h"
 #include "support/CommandLine.h"
-#include "support/ThreadPool.h"
-#include "support/Topology.h"
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 
@@ -108,6 +108,17 @@ int main(int Argc, char **Argv) {
   if (!R.parse(Argc, Argv))
     return R.helpRequested() ? 0 : 2;
 
+  // Reject values that a cast below would wrap or that would switch a
+  // limit off, before anything binds.
+  if (!R.intInRange("tcp-port", -1, 65535) ||
+      !R.intInRange("workers", 0, UINT_MAX) ||
+      !R.intInRange("max-connections", 1, UINT_MAX) ||
+      !R.intInRange("max-submission-mb", 1,
+                    static_cast<int64_t>(UINT64_MAX >> 20)) ||
+      !R.intInRange("drop-poll-ms", 1, INT_MAX) ||
+      !R.intInRange("recv-timeout-ms", 1, INT_MAX))
+    return 2;
+
   IngestServer::Config Config;
   Config.UnixSocketPath = R.getString("listen");
   Config.TcpPort = static_cast<int>(R.getInt("tcp-port"));
@@ -156,9 +167,8 @@ int main(int Argc, char **Argv) {
   // One line per surface, so scripts (and the integration test) can scrape
   // the ephemeral TCP port and know the daemon is ready.
   std::printf("racedetectd: pid %d\n", static_cast<int>(::getpid()));
-  std::printf("racedetectd: hardware: kernel isa %s, %s, pinning %s\n",
-              kernels::activeIsa(), topo::summary().c_str(),
-              threadPinningEnabled() ? "on" : "off");
+  std::printf("racedetectd: hardware: kernel isa %s\n",
+              kernels::activeIsa());
   if (!Config.UnixSocketPath.empty())
     std::printf("racedetectd: listening on %s\n",
                 Config.UnixSocketPath.c_str());
