@@ -215,8 +215,15 @@ void replaySpan(const CompiledWorkload &Workload,
 
   Runtime RT(*D, Controller.get(), Setup.SyncBatching);
   auto Start = Clock::now();
-  RT.replay(Replay);
+  const size_t Replayed = RT.replay(Replay);
   Out.ReplaySeconds = secondsSince(Start);
+  if (Replayed < Replay.size()) {
+    // The segmenter stopped at a record validateActionRecord rejects.
+    Out.Ok = false;
+    Out.Error = std::string(validateActionRecord(Replay[Replayed])) +
+                " in record " + std::to_string(Replayed);
+    return;
+  }
 
   Out.Races = Log.counts();
   Out.DynamicRaces = Log.dynamicCount();
@@ -323,6 +330,8 @@ AnalysisSession::analyzeStream(StreamingTraceReader &Reader) const {
           Filtered.push_back(A);
       Replay = Filtered;
     }
+    // The reader checked this window; the segmenter's check repeats it
+    // and never stops short.
     RT.replayChunk(Replay, AccessShard::all());
   }
   Result.ReplaySeconds = secondsSince(Start);
@@ -381,7 +390,7 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
   TraceSpan T;
   auto LoadStart = Clock::now();
   if (Format == TraceFormat::Binary) {
-    View = TraceView::open(Path);
+    View = TraceView::map(Path);
     if (!View.ok())
       return Fail(View.error());
     T = View.actions();
@@ -393,27 +402,46 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
   }
   double LoadSeconds = secondsSince(LoadStart);
 
+  // Auto resolution reads only kind bytes, so it may run before the
+  // record check.
   unsigned ResolvedShards = Request.Setup.Shards;
-  TraceIndex Index;
-  const TraceIndex *IndexPtr = nullptr;
-  auto IndexStart = Clock::now();
+  auto CountStart = Clock::now();
   if (ResolvedShards == 0) {
-    TraceIndex::Builder Builder(1);
-    Builder.addChunk(T);
-    const uint64_t Accesses = Builder.accessCount();
+    const uint64_t Accesses = countTraceAccesses(T);
     ResolvedShards = resolveShardCount(0, Accesses);
     noteAutoShards(Result, ResolvedShards, Accesses);
   }
+  double IndexSeconds = secondsSince(CountStart);
+
+  // The parser checked a text trace's records. A mapped trace's records
+  // are checked by the sequential replay as it segments them; the index
+  // build, the sharded engines, LiteRace's sampler plan and the
+  // escape-analysis filter read records before or without that scan, so
+  // those paths check the whole span first.
+  if (Format == TraceFormat::Binary &&
+      (ResolvedShards > 1 || Request.Setup.ElideLocalAccesses)) {
+    auto CheckStart = Clock::now();
+    const char *Why = nullptr;
+    if (const size_t Bad = firstInvalidRecord(T, Why); Bad < T.size())
+      return Fail(invalidRecordError(Path, Why, Bad));
+    LoadSeconds += secondsSince(CheckStart);
+  }
+
+  TraceIndex Index;
+  const TraceIndex *IndexPtr = nullptr;
   if (ResolvedShards > 1 && !Request.Setup.ElideLocalAccesses) {
+    auto IndexStart = Clock::now();
     Index = TraceIndex::build(T, ResolvedShards);
     IndexPtr = &Index;
+    IndexSeconds += secondsSince(IndexStart);
   }
-  double IndexSeconds = secondsSince(IndexStart);
 
   AnalysisRequest Resolved = Request;
   Resolved.Setup.Shards = ResolvedShards;
   AnalysisResult Replayed =
       AnalysisSession(Workload, Resolved).analyzeTrace(T, IndexPtr);
+  if (!Replayed.Ok)
+    return Fail(Path + ": " + Replayed.Error);
   Replayed.Notes = Result.Notes + Replayed.Notes;
   Replayed.LoadSeconds = LoadSeconds;
   Replayed.IndexSeconds = IndexSeconds;
@@ -463,8 +491,10 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
   bool Sequential = ResolvedShards <= 1 || Request.Setup.ElideLocalAccesses;
   if (!Sequential) {
     if (Format == TraceFormat::Binary) {
+      // Mapped only: the streamed index build below checks every record
+      // before the sharded replay reads the mapping.
       auto Start = Clock::now();
-      View = TraceView::open(Path);
+      View = TraceView::map(Path);
       if (!View.ok())
         return Fail(View.error());
       LoadSeconds = secondsSince(Start);

@@ -221,9 +221,12 @@ struct AnalysisResult {
   /// "neon", or "scalar". Surfaced by racedetect --times and the bench JSON.
   const char *Isa = "scalar";
 
-  /// analyzeFile timing split: trace load / view map, index build +
-  /// auto-shard counting, and replay. ReplaySeconds == AnalysisSeconds
-  /// for file analyses.
+  /// analyzeFile timing split: trace load, index build + auto-shard
+  /// counting, and replay. Load is the text parse, or for a binary trace
+  /// the view map; when the trace is sharded or elide-filtered it also
+  /// holds the whole-span record check. A sequential binary replay
+  /// checks records as it segments them, so that check counts in
+  /// ReplaySeconds (racedetect --times prints it as "analysis").
   double LoadSeconds = 0.0;
   double IndexSeconds = 0.0;
   /// Human-readable decisions taken on the way (auto-shard choice,
@@ -259,7 +262,10 @@ public:
   /// runTrialOnTrace). \p Index, when non-null, must describe \p T; it is
   /// reused when its shard count matches the resolved Setup.Shards and
   /// ignored otherwise (and always ignored under ElideLocalAccesses,
-  /// which replays a filtered trace).
+  /// which replays a filtered trace). Sharded and filtered replays
+  /// require \p T's records to pass validateActionRecord. A sequential
+  /// unfiltered replay checks them as it segments: at the first invalid
+  /// record it stops with Ok = false and Error "REASON in record N".
   AnalysisResult analyzeTrace(TraceSpan T,
                               const TraceIndex *Index = nullptr) const;
 

@@ -19,6 +19,11 @@
 /// event order. Experiments that need to interleave their own probing (the
 /// Figure 10 space experiment) drive step() directly.
 ///
+/// The segmenter's scan is also the record check: replay() applies
+/// validateActionRecord to each record as it reads it and stops before
+/// any hook sees the first invalid one, so a memory-mapped trace
+/// (TraceView::map) needs no separate validation pass.
+///
 /// The runtime also tracks first sight of each thread and delivers
 /// Detector::threadBegin() before a thread's first action, so per-thread
 /// detector state materializes at a point that is a pure function of the
@@ -33,6 +38,7 @@
 #include "detectors/Detector.h"
 #include "runtime/SamplingController.h"
 #include "sim/Action.h"
+#include "sim/TraceIO.h"
 
 #include <vector>
 
@@ -60,7 +66,8 @@ public:
 
   /// Processes one action: thread first-sight, sampling control, then
   /// dispatch. Returns true if a simulated GC boundary fired at this
-  /// action.
+  /// action. Unlike replay(), step() trusts \p A: only the space
+  /// experiment and tests call it, with generated traces.
   bool step(const Action &A) {
     if (firstSight(A.Tid))
       D.threadBegin(A.Tid);
@@ -72,14 +79,15 @@ public:
 
   /// Replays a whole trace through batched epoch dispatch. The detector
   /// observes the same hook sequence as a step() loop, with runs of
-  /// consecutive data accesses folded into accessBatch() calls.
-  void replay(TraceSpan T) { replay(T, AccessShard::all()); }
+  /// consecutive data accesses folded into accessBatch() calls. Returns
+  /// the number of records replayed (see replayChunk()).
+  size_t replay(TraceSpan T) { return replay(T, AccessShard::all()); }
 
   /// Shard-filtered replay: every synchronization and lifecycle action is
   /// processed, but only data accesses owned by \p Shard are analysed.
-  void replay(TraceSpan T, const AccessShard &Shard) {
+  size_t replay(TraceSpan T, const AccessShard &Shard) {
     start();
-    replayChunk(T, Shard);
+    return replayChunk(T, Shard);
   }
 
   /// Incremental replay: processes one contiguous chunk of the trace,
@@ -91,28 +99,41 @@ public:
   /// edge merely splits a batch. This is what lets a StreamingTraceReader
   /// drive replay from a bounded window.
   ///
+  /// The scan checks every record against validateActionRecord before
+  /// any hook sees it (for an access, whose kind the run test has
+  /// settled, one compare on Target decides). At the first
+  /// invalid record it returns that record's index, having delivered
+  /// everything before it; otherwise it returns T.size(). The return
+  /// value is therefore firstInvalidRecord(T, Why).
+  ///
   /// Access runs are processed at run granularity, not per access: the
-  /// scan locates each maximal run of data accesses (recording thread
-  /// first sights on the way), and deliverRun() segments it with the
-  /// controller's closed-form boundary arithmetic. Every accessBatch the
-  /// detector sees is phase-pure -- period toggles happen only between
-  /// sub-spans -- and controller cost is O(boundaries + first sights) per
-  /// run instead of two calls per access. The detector observes exactly
-  /// the per-action hook order: batch flushes before a threadBegin or
-  /// toggle at the same position, threadBegin before the toggle, and the
-  /// boundary-firing access delivered after the toggle.
-  void replayChunk(TraceSpan T, const AccessShard &Shard) {
+  /// scan locates each maximal run of data accesses, and deliverRun()
+  /// segments it with the controller's closed-form boundary arithmetic.
+  /// A run also ends at a thread's first sight: that access opens the
+  /// next run after its threadBegin. Every accessBatch the detector sees
+  /// is phase-pure -- period toggles happen only between sub-spans -- and
+  /// controller cost is O(boundaries) per run instead of two calls per
+  /// access. The detector observes exactly the per-action hook order:
+  /// batch flushes before a threadBegin, threadBegin before a toggle at
+  /// the same position, and the boundary-firing access delivered after
+  /// the toggle.
+  size_t replayChunk(TraceSpan T, const AccessShard &Shard) {
     const size_t N = T.size();
     size_t I = 0;
     while (I < N) {
       const Action &A = T[I];
+      if (validateActionRecord(A))
+        return I;
+      if (firstSight(A.Tid))
+        D.threadBegin(A.Tid);
       if (!isAccessAction(A.Kind)) {
-        if (firstSight(A.Tid))
-          D.threadBegin(A.Tid);
         if (SyncBatching && A.Kind == ActionKind::Acquire) {
           // Maximal run of same-thread acquire/release pairs on one lock:
           // the sync skeleton's dominant shape (tight critical-section
-          // loops), collapsed by Detector::syncBatch to O(1) per run.
+          // loops), collapsed by Detector::syncBatch to O(1) per run. The
+          // lookahead reads unchecked records, but takes only acquires
+          // and releases with A's thread and lock; each is valid because
+          // A is.
           size_t J = I;
           while (J + 1 < N && T[J].Kind == ActionKind::Acquire &&
                  T[J + 1].Kind == ActionKind::Release && T[J].Tid == A.Tid &&
@@ -132,16 +153,17 @@ public:
         ++I;
         continue;
       }
-      // Maximal access run [I, RunEnd); mark first sights while scanning
-      // (positions are split points inside the run).
-      FirstSights.clear();
-      size_t RunEnd = I;
-      for (; RunEnd < N && isAccessAction(T[RunEnd].Kind); ++RunEnd)
-        if (firstSight(T[RunEnd].Tid))
-          FirstSights.push_back(RunEnd);
+      // Access run [I, RunEnd): A opens it; it ends before the first
+      // record that is not an access, is invalid, or is its thread's
+      // first sight. Such a record starts the next loop iteration.
+      size_t RunEnd = I + 1;
+      while (RunEnd < N && isAccessAction(T[RunEnd].Kind) &&
+             !validateActionRecord(T[RunEnd]) && seen(T[RunEnd].Tid))
+        ++RunEnd;
       deliverRun(T, I, RunEnd, Shard);
       I = RunEnd;
     }
+    return N;
   }
 
   /// Routes \p A to the detector hook it instruments.
@@ -246,19 +268,15 @@ public:
 
 private:
   /// Delivers one access run [\p Begin, \p End) of \p T as phase-pure
-  /// sub-spans. Split points are thread first sights (FirstSights, filled
-  /// by the run scan; threadBegin precedes a boundary toggle at the same
-  /// position, as in the per-action loop) and controller period
-  /// boundaries located by accessRunBoundaryIndex(). Following
-  /// advanceAccessRun()'s contract, the segment strictly before a
-  /// boundary is delivered under the old sampling state and the firing
-  /// access re-joins the next segment under the new one; the controller's
-  /// counter and RNG streams are bit-identical to a per-access
-  /// beforeAction() loop.
+  /// sub-spans split at the controller period boundaries located by
+  /// accessRunBoundaryIndex(). Following advanceAccessRun()'s contract,
+  /// the segment strictly before a boundary is delivered under the old
+  /// sampling state and the firing access re-joins the next segment under
+  /// the new one; the controller's counter and RNG streams are
+  /// bit-identical to a per-access beforeAction() loop.
   void deliverRun(TraceSpan T, size_t Begin, size_t End,
                   const AccessShard &Shard) {
     size_t SegBegin = Begin;
-    size_t FsIdx = 0;
     auto Deliver = [&](size_t To) {
       if (SegBegin < To)
         D.accessBatch(
@@ -271,13 +289,6 @@ private:
       const uint64_t Left = End - Accounted;
       const uint64_t Fire =
           Controller && Left ? Controller->accessRunBoundaryIndex(Left) : 0;
-      const size_t StopPos =
-          Fire ? Accounted + static_cast<size_t>(Fire) - 1 : End;
-      while (FsIdx < FirstSights.size() && FirstSights[FsIdx] <= StopPos) {
-        Deliver(FirstSights[FsIdx]);
-        D.threadBegin(T[FirstSights[FsIdx]].Tid);
-        ++FsIdx;
-      }
       if (!Fire) {
         Deliver(End);
         if (Controller && Left)
@@ -285,6 +296,7 @@ private:
                                                  // only, no toggle.
         return;
       }
+      const size_t StopPos = Accounted + static_cast<size_t>(Fire) - 1;
       Deliver(StopPos);
       Controller->advanceAccessRun(Left, D); // Toggles the detector; the
                                              // firing access (StopPos) is
@@ -298,12 +310,15 @@ private:
     deliverSyncPairRun(D, Controller, Tid, Lock, TotalEvents);
   }
 
+  /// True once \p Tid has acted.
+  bool seen(ThreadId Tid) const { return Tid < Seen.size() && Seen[Tid]; }
+
   /// True exactly once per thread, at its first action.
   bool firstSight(ThreadId Tid) {
+    if (seen(Tid))
+      return false;
     if (Tid >= Seen.size())
       Seen.resize(Tid + 1, false);
-    if (Seen[Tid])
-      return false;
     Seen[Tid] = true;
     return true;
   }
@@ -313,9 +328,6 @@ private:
   bool SyncBatching;
   bool Started = false;
   std::vector<bool> Seen;
-  /// Scratch: first-sight positions within the access run being
-  /// delivered (reused across runs to stay allocation-free).
-  std::vector<size_t> FirstSights;
 };
 
 } // namespace pacer

@@ -9,7 +9,8 @@ using namespace pacer;
 
 StreamingTraceReader::StreamingTraceReader(const std::string &Path,
                                            size_t WindowActions)
-    : Path(Path), Window(std::max<size_t>(1, WindowActions)) {
+    : Path(Path),
+      Window(std::clamp<size_t>(WindowActions, 1, MaxWindowActions)) {
   File = std::fopen(Path.c_str(), "rb");
   if (!File) {
     fail("cannot open " + Path);
@@ -106,18 +107,12 @@ TraceSpan StreamingTraceReader::nextBinary() {
            std::to_string(*Total) + " records)");
       return {};
     }
-    for (size_t I = 0; I < Records; ++I) {
-      if (static_cast<uint8_t>(WindowBuf[I].Kind) >
-          static_cast<uint8_t>(ActionKind::ThreadExit)) {
-        fail(Path + ": bad action kind in record " +
-             std::to_string(*Total - RemainingRecords + I));
-        return {};
-      }
-      if (const char *Bad = validateActionRecord(WindowBuf[I])) {
-        fail(Path + ": " + Bad + " in record " +
-             std::to_string(*Total - RemainingRecords + I));
-        return {};
-      }
+    const char *Why = nullptr;
+    if (const size_t Bad =
+            firstInvalidRecord(TraceSpan(WindowBuf.data(), Records), Why);
+        Bad < Records) {
+      fail(invalidRecordError(Path, Why, *Total - RemainingRecords + Bad));
+      return {};
     }
   } else {
     RawBuf.resize(Want * BinaryTraceRecordBytes);
@@ -129,15 +124,13 @@ TraceSpan StreamingTraceReader::nextBinary() {
       return {};
     }
     for (size_t I = 0; I < Records; ++I) {
-      if (!unpackBinaryRecord(RawBuf.data() + I * BinaryTraceRecordBytes,
-                              WindowBuf[I])) {
-        fail(Path + ": bad action kind in record " +
-             std::to_string(*Total - RemainingRecords + I));
-        return {};
-      }
-      if (const char *Bad = validateActionRecord(WindowBuf[I])) {
-        fail(Path + ": " + Bad + " in record " +
-             std::to_string(*Total - RemainingRecords + I));
+      const char *Why = unpackBinaryRecord(
+                            RawBuf.data() + I * BinaryTraceRecordBytes,
+                            WindowBuf[I])
+                            ? validateActionRecord(WindowBuf[I])
+                            : "bad action kind";
+      if (Why) {
+        fail(invalidRecordError(Path, Why, *Total - RemainingRecords + I));
         return {};
       }
     }

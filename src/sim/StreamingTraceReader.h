@@ -40,7 +40,14 @@ public:
   /// Default window: 64k actions = 768 KiB resident trace bytes.
   static constexpr size_t DefaultWindowActions = 64 << 10;
 
-  /// Opens \p Path with a window of \p WindowActions (clamped to >= 1).
+  /// Largest window: 16M actions = 192 MiB of records. The reader sizes
+  /// its buffer from the window and from the header's untrusted record
+  /// count, so an unbounded window would let either one abort the
+  /// process with an allocation failure.
+  static constexpr size_t MaxWindowActions = size_t(1) << 24;
+
+  /// Opens \p Path with a window of \p WindowActions (clamped to
+  /// [1, MaxWindowActions]).
   /// Check ok() before streaming: an unopenable or malformed-header file
   /// fails here.
   explicit StreamingTraceReader(

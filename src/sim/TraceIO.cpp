@@ -150,19 +150,19 @@ bool pacer::unpackBinaryRecord(const unsigned char *In, Action &A) {
   return true;
 }
 
-const char *pacer::validateActionRecord(const Action &A) {
-  // One compare settles nearly every record: a target inside the tid
-  // space is legal for every kind.
-  if (A.Target <= MaxActionTid)
-    return nullptr;
-  if (A.Target == InvalidId)
-    return A.Kind == ActionKind::ThreadExit ? nullptr : "missing target id";
-  if (A.Kind == ActionKind::Fork || A.Kind == ActionKind::Join)
-    return "fork/join child thread id out of range";
-  if ((A.Kind == ActionKind::Read || A.Kind == ActionKind::Write) &&
-      A.Target == InvalidId - 1)
-    return "variable id out of range";
-  return nullptr;
+size_t pacer::firstInvalidRecord(TraceSpan T, const char *&Why) {
+  for (size_t I = 0; I < T.size(); ++I) {
+    if (const char *Bad = validateActionRecord(T[I])) {
+      Why = Bad;
+      return I;
+    }
+  }
+  return T.size();
+}
+
+std::string pacer::invalidRecordError(const std::string &Path,
+                                      const char *Why, uint64_t Record) {
+  return Path + ": " + Why + " in record " + std::to_string(Record);
 }
 
 void pacer::packBinaryHeader(uint64_t Count, unsigned char *Out) {
@@ -506,37 +506,28 @@ TraceParseResult readBinaryTraceFile(const std::string &Path,
                      std::to_string(Count) + " records)";
       return Result;
     }
+    const uint64_t First = Count - Remaining;
     if (Bulk) {
-      const auto *Actions = reinterpret_cast<const Action *>(Slab.data());
-      // Even on the bulk path the kind bytes are validated: a corrupt
+      // Even on the bulk path every record is validated: a corrupt
       // record must fail loudly, not dispatch as garbage.
-      for (size_t I = 0; I < Records; ++I) {
-        if (static_cast<uint8_t>(Actions[I].Kind) > MaxKindByte) {
-          Result.Error =
-              Path + ": bad action kind in record " +
-              std::to_string(Count - Remaining + I);
-          return Result;
-        }
-        if (const char *Bad = validateActionRecord(Actions[I])) {
-          Result.Error = Path + ": " + Bad + " in record " +
-                         std::to_string(Count - Remaining + I);
-          return Result;
-        }
+      const TraceSpan Actions(reinterpret_cast<const Action *>(Slab.data()),
+                              Records);
+      const char *Why = nullptr;
+      if (const size_t Bad = firstInvalidRecord(Actions, Why);
+          Bad < Records) {
+        Result.Error = invalidRecordError(Path, Why, First + Bad);
+        return Result;
       }
-      Result.T.insert(Result.T.end(), Actions, Actions + Records);
+      Result.T.insert(Result.T.end(), Actions.begin(), Actions.end());
     } else {
       for (size_t I = 0; I < Records; ++I) {
         Action A;
-        if (!unpackBinaryRecord(Slab.data() + I * BinaryTraceRecordBytes,
-                                A)) {
-          Result.Error =
-              Path + ": bad action kind in record " +
-              std::to_string(Count - Remaining + I);
-          return Result;
-        }
-        if (const char *Bad = validateActionRecord(A)) {
-          Result.Error = Path + ": " + Bad + " in record " +
-                         std::to_string(Count - Remaining + I);
+        const char *Why =
+            unpackBinaryRecord(Slab.data() + I * BinaryTraceRecordBytes, A)
+                ? validateActionRecord(A)
+                : "bad action kind";
+        if (Why) {
+          Result.Error = invalidRecordError(Path, Why, First + I);
           return Result;
         }
         Result.T.push_back(A);

@@ -89,18 +89,51 @@ void packBinaryRecord(const Action &A, unsigned char *Out);
 /// Decodes one record; returns false on an out-of-range kind byte.
 bool unpackBinaryRecord(const unsigned char *In, Action &A);
 
-/// Validates a decoded record's fields beyond the kind byte. Only
-/// ThreadExit may omit its target (InvalidId, "-" in text): detectors
-/// size their per-target state as Target + 1, which wraps to 0 for
-/// InvalidId. A read or write target must also not be InvalidId - 1,
-/// FlatVarTable's tombstone sentinel. Fork and Join carry a child
-/// ThreadId in Target, which must fit the 24-bit tid space (MaxActionTid)
-/// like every other tid -- a larger value cannot have come from the
-/// writer and would grow per-thread detector state without bound.
-/// Returns nullptr for a well-formed record, else a static reason
-/// string. Every trace read path (buffered, mmap view, streaming, text)
-/// applies this before handing actions to analysis.
-const char *validateActionRecord(const Action &A);
+/// Validates one record. Its kind byte must name an ActionKind: bulk
+/// reads and mappings move records without decoding them, so nothing
+/// else has checked it. Only ThreadExit may omit its target (InvalidId,
+/// "-" in text): detectors size their per-target state as Target + 1,
+/// which wraps to 0 for InvalidId. A read or write target must also not
+/// be InvalidId - 1, FlatVarTable's tombstone sentinel. Fork and Join
+/// carry a child ThreadId in Target, which must fit the 24-bit tid space
+/// (MaxActionTid) like every other tid -- a larger value cannot have come
+/// from the writer and would grow per-thread detector state without
+/// bound. Returns nullptr for a well-formed record, else a static reason
+/// string. Every record is checked before analysis sees it: by the
+/// readers (buffered, streaming, text) as they load, by TraceView::open,
+/// and on the default mapped path by the replay segmenter as it scans
+/// (Runtime::replayChunk). Inline because the segmenter applies it per
+/// record.
+inline const char *validateActionRecord(const Action &A) {
+  if (static_cast<uint8_t>(A.Kind) >
+      static_cast<uint8_t>(ActionKind::ThreadExit))
+    return "bad action kind";
+  // One compare settles nearly every record: a target inside the tid
+  // space is legal for every kind.
+  if (A.Target <= MaxActionTid)
+    return nullptr;
+  if (A.Target == InvalidId)
+    return A.Kind == ActionKind::ThreadExit ? nullptr : "missing target id";
+  if (A.Kind == ActionKind::Fork || A.Kind == ActionKind::Join)
+    return "fork/join child thread id out of range";
+  if ((A.Kind == ActionKind::Read || A.Kind == ActionKind::Write) &&
+      A.Target == InvalidId - 1)
+    return "variable id out of range";
+  return nullptr;
+}
+
+/// Index of the first record of \p T that validateActionRecord rejects,
+/// with \p Why set to its reason; T.size() (Why untouched) when every
+/// record is valid. The one whole-span check: the bulk readers and
+/// TraceView::open run it, and so do the analysis paths that read a
+/// mapped trace before or without the segmenter (sharded replay, the
+/// escape-analysis filter).
+size_t firstInvalidRecord(TraceSpan T, const char *&Why);
+
+/// The diagnostic every read path gives for a rejected record:
+/// "PATH: WHY in record N".
+std::string invalidRecordError(const std::string &Path, const char *Why,
+                               uint64_t Record);
 
 /// Renders the 24-byte v2 header for \p Count records into \p Out.
 void packBinaryHeader(uint64_t Count, unsigned char *Out);

@@ -52,30 +52,21 @@ TraceView &TraceView::operator=(TraceView &&Other) noexcept {
   return *this;
 }
 
-namespace {
-
-/// Validates every record (kind byte plus validateActionRecord's target
-/// rules); returns the index of the first bad record or -1, with \p Why
-/// set. The scan reads the kind byte and target of each record and runs
-/// at memory bandwidth -- the whole "parse" cost of the zero-copy path.
-int64_t firstBadRecord(TraceSpan T, const char *&Why) {
-  for (size_t I = 0; I < T.size(); ++I) {
-    if (static_cast<uint8_t>(T[I].Kind) >
-        static_cast<uint8_t>(ActionKind::ThreadExit)) {
-      Why = "bad action kind";
-      return static_cast<int64_t>(I);
-    }
-    if (const char *Bad = validateActionRecord(T[I])) {
-      Why = Bad;
-      return static_cast<int64_t>(I);
+TraceView TraceView::open(const std::string &Path, bool ForceBuffered) {
+  TraceView View = map(Path, ForceBuffered);
+  const char *Why = nullptr;
+  if (View.ok()) {
+    if (const size_t Bad = firstInvalidRecord(View.Span, Why);
+        Bad < View.Span.size()) {
+      std::string Err = invalidRecordError(Path, Why, Bad);
+      View.reset();
+      View.Error = std::move(Err);
     }
   }
-  return -1;
+  return View;
 }
 
-} // namespace
-
-TraceView TraceView::open(const std::string &Path, bool ForceBuffered) {
+TraceView TraceView::map(const std::string &Path, bool ForceBuffered) {
   TraceView View;
 
 #if PACER_HAVE_MMAP
@@ -148,14 +139,6 @@ TraceView TraceView::open(const std::string &Path, bool ForceBuffered) {
       View.Span = TraceSpan(
           reinterpret_cast<const Action *>(Bytes + BinaryTraceHeaderBytes),
           static_cast<size_t>(Count));
-      const char *Why = nullptr;
-      if (const int64_t Bad = firstBadRecord(View.Span, Why); Bad >= 0) {
-        std::string Err =
-            Path + ": " + Why + " in record " + std::to_string(Bad);
-        View.reset();
-        View.Error = std::move(Err);
-        return View;
-      }
       View.Ok = true;
       return View;
     }

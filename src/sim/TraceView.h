@@ -8,10 +8,10 @@
 /// A read-only view of a binary (v2) trace file that avoids materializing
 /// a Trace: on POSIX hosts whose Action layout matches the on-disk record
 /// (see sim/TraceIO.h) the file is memory-mapped and actions() is a
-/// pointer cast over the mapping -- load cost is one header check plus a
-/// kind-byte validation scan, and the kernel pages records in and out on
-/// demand, so analysing a trace larger than RAM needs no trace-sized
-/// allocation at all. Where mmap is unavailable (or the ABI differs) the
+/// pointer cast over the mapping -- map() costs one header and size
+/// check, and the kernel pages records in and out on demand, so
+/// analysing a trace larger than RAM needs no trace-sized allocation at
+/// all. Where mmap is unavailable (or the ABI differs) the
 /// view transparently falls back to a buffered load; actions() is the
 /// same span either way, so every consumer -- Runtime::replay,
 /// shardedReplay, TraceIndex -- is oblivious to the difference.
@@ -42,10 +42,22 @@ public:
   TraceView(const TraceView &) = delete;
   TraceView &operator=(const TraceView &) = delete;
 
-  /// Opens \p Path. \p ForceBuffered skips the mmap attempt (used by
-  /// tests to pin the fallback path; results are identical). On failure
-  /// the view is empty and ok() is false with a diagnostic.
+  /// Opens \p Path: map() plus a firstInvalidRecord scan, so ok() means
+  /// every record passed validateActionRecord. \p ForceBuffered skips the
+  /// mmap attempt (used by tests to pin the fallback path; results are
+  /// identical). On failure the view is empty and ok() is false with a
+  /// diagnostic.
   static TraceView open(const std::string &Path, bool ForceBuffered = false);
+
+  /// Like open(), but checks only the header and the file size: on the
+  /// mapped path no record is read, so a record may still be invalid.
+  /// The caller must check records before analysing them -- the replay
+  /// segmenter does (Runtime::replayChunk), and AnalysisSession runs
+  /// firstInvalidRecord first on every path that reads records without
+  /// it. The scan open() adds is a separate pass over the whole file,
+  /// bound by memory bandwidth; map() leaves it to a pass that reads
+  /// the records anyway.
+  static TraceView map(const std::string &Path, bool ForceBuffered = false);
 
   bool ok() const { return Ok; }
   const std::string &error() const { return Error; }

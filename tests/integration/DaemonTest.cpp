@@ -508,14 +508,17 @@ TEST(DaemonTest, OutOfRangeNumericFlagsExitTwoBeforeBinding) {
   const std::string Sock = Dir + "/d.sock";
   // Unchecked, each would wrap through a narrowing cast or disable a
   // limit: -1 workers is 2^32 - 1 threads, -1 MiB lifts the size cap,
-  // port 70000 binds port 4464, and a zero poll or timeout never waits.
+  // port 70000 binds port 4464, a zero poll or timeout never waits, and
+  // a 2^40-action stream window aborts the first analysis on its
+  // allocation.
   const char *BadFlags[] = {
       "--workers=-1",           "--max-connections=0",
       "--max-connections=-1",   "--max-submission-mb=0",
       "--max-submission-mb=-1", "--max-submission-mb=17592186044416",
       "--tcp-port=-2",          "--tcp-port=65536",
       "--tcp-port=70000",       "--drop-poll-ms=0",
-      "--recv-timeout-ms=0",    "--recv-timeout-ms=-5"};
+      "--recv-timeout-ms=0",    "--recv-timeout-ms=-5",
+      "--stream-window=0",      "--stream-window=1099511627776"};
   for (const char *Flag : BadFlags) {
     SCOPED_TRACE(Flag);
     std::error_code Ec;

@@ -2,10 +2,15 @@
 
 #include "runtime/Runtime.h"
 
+#include "sim/TraceGenerator.h"
+#include "sim/TraceIO.h"
+#include "sim/Workloads.h"
+
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -14,11 +19,26 @@ using namespace pacer::test;
 
 namespace {
 
-/// Detector that records every hook invocation as a string.
+/// Detector that records every hook invocation as a string. With
+/// \p Lifecycle it also records threadBegin and the sampling toggles.
 class RecordingDetector final : public Detector {
 public:
-  explicit RecordingDetector(RaceSink &Sink) : Detector(Sink) {}
+  explicit RecordingDetector(RaceSink &Sink, bool Lifecycle = false)
+      : Detector(Sink), Lifecycle(Lifecycle) {}
   const char *name() const override { return "recording"; }
+
+  void threadBegin(ThreadId Tid) override {
+    if (Lifecycle)
+      Calls.push_back("begin(" + std::to_string(Tid) + ")");
+  }
+  void beginSamplingPeriod() override {
+    if (Lifecycle)
+      Calls.push_back("sbegin");
+  }
+  void endSamplingPeriod() override {
+    if (Lifecycle)
+      Calls.push_back("send");
+  }
 
   void fork(ThreadId Parent, ThreadId Child) override {
     log("fork", Parent, Child);
@@ -49,6 +69,7 @@ public:
   std::vector<std::string> Calls;
 
 private:
+  bool Lifecycle;
   void log(const char *Name, uint32_t A, uint32_t B) {
     Calls.push_back(std::string(Name) + "(" + std::to_string(A) + "," +
                     std::to_string(B) + ")");
@@ -124,6 +145,122 @@ TEST(RuntimeTest, StepReturnsBoundaryFlag) {
   EXPECT_FALSE(RT.step(Read));
   EXPECT_TRUE(RT.step(Read)) << "second 40-byte event fills the 80-byte "
                                 "nursery";
+}
+
+/// Replays \p T into a lifecycle-recording detector and checks that
+/// replay() stops at \p BadIndex -- firstInvalidRecord's answer -- with
+/// exactly \p Expected logged: no hook for the bad record or any later
+/// one, not even a threadBegin for the bad record's unseen thread.
+void expectReplayStopsAt(const Trace &T, size_t BadIndex,
+                         const std::vector<std::string> &Expected) {
+  const char *Why = nullptr;
+  ASSERT_EQ(firstInvalidRecord(T, Why), BadIndex);
+  NullRaceSink Sink;
+  RecordingDetector D(Sink, /*Lifecycle=*/true);
+  Runtime RT(D);
+  EXPECT_EQ(RT.replay(T), BadIndex);
+  EXPECT_EQ(D.Calls, Expected);
+}
+
+TEST(RuntimeTest, ReplayStopsBeforeBadAccessInsideRun) {
+  Trace T = TraceBuilder()
+                .fork(0, 1)
+                .read(1, 3)
+                .write(1, 4)
+                .read(1, 5) // Corrupted below.
+                .read(1, 6)
+                .take();
+  T[3].Target = InvalidId;
+  expectReplayStopsAt(T, 3,
+                      {"begin(0)", "fork(0,1)", "begin(1)", "rd(1,3)",
+                       "wr(1,4)"});
+}
+
+TEST(RuntimeTest, ReplayStopsBeforeBadSyncAction) {
+  // The bad fork is thread 2's first action: it gets no threadBegin.
+  Trace T = TraceBuilder()
+                .fork(0, 1)
+                .write(1, 3)
+                .fork(2, 5) // Corrupted below.
+                .acq(0, 7)
+                .take();
+  T[2].Target = 0xFFFFFFFEu;
+  expectReplayStopsAt(T, 2,
+                      {"begin(0)", "fork(0,1)", "begin(1)", "wr(1,3)"});
+}
+
+TEST(RuntimeTest, ReplayStopsBeforeBadRecordAfterPairRun) {
+  // The pair-run lookahead reads the bad record (same thread, same lock)
+  // but must neither fold it into the run nor deliver it.
+  Trace T = TraceBuilder()
+                .acq(0, 7)
+                .rel(0, 7)
+                .acq(0, 7)
+                .rel(0, 7)
+                .acq(0, 7) // Corrupted below.
+                .rel(0, 7)
+                .take();
+  T[4].Kind = static_cast<ActionKind>(0xEE);
+  expectReplayStopsAt(T, 4,
+                      {"begin(0)", "acq(0,7)", "rel(0,7)", "acq(0,7)",
+                       "rel(0,7)"});
+}
+
+/// The hook sequence a per-action step() loop produces for \p T, and the
+/// number of boundaries that fired at a thread's first action when that
+/// action is a data access.
+std::vector<std::string> stepLoopCalls(const Trace &T,
+                                       const SamplingConfig &Config,
+                                       uint64_t &FirstSightBoundaries) {
+  NullRaceSink Sink;
+  RecordingDetector D(Sink, /*Lifecycle=*/true);
+  SamplingController Controller(Config, 11);
+  Runtime RT(D, &Controller);
+  RT.start();
+  std::vector<bool> Seen;
+  FirstSightBoundaries = 0;
+  for (const Action &A : T) {
+    const bool First = A.Tid >= Seen.size() || !Seen[A.Tid];
+    if (A.Tid >= Seen.size())
+      Seen.resize(A.Tid + 1, false);
+    Seen[A.Tid] = true;
+    if (RT.step(A) && First && isAccessAction(A.Kind))
+      ++FirstSightBoundaries;
+  }
+  return D.Calls;
+}
+
+TEST(RuntimeTest, ReplayMatchesStepLoopHookOrder) {
+  // A nursery this small puts period boundaries on first-sight accesses,
+  // where the segmenter cuts the access run: threadBegin, then the
+  // toggle, then the access, exactly as step() orders them.
+  const WorkloadSpec Specs[] = {scaleWorkload(forkJoinModel(), 0.1),
+                                scaleWorkload(eclipseModel(), 0.05)};
+  for (const WorkloadSpec &Spec : Specs) {
+    const Trace T = generateTrace(CompiledWorkload(Spec), 3);
+    for (uint64_t PeriodBytes : {40u, 200u}) {
+      SCOPED_TRACE(Spec.Name + " period " + std::to_string(PeriodBytes));
+      SamplingConfig Config;
+      Config.TargetRate = 0.5;
+      Config.PeriodBytes = PeriodBytes;
+      uint64_t FirstSightBoundaries = 0;
+      const std::vector<std::string> Expected =
+          stepLoopCalls(T, Config, FirstSightBoundaries);
+      EXPECT_GT(FirstSightBoundaries, 0u);
+
+      NullRaceSink Sink;
+      RecordingDetector D(Sink, /*Lifecycle=*/true);
+      SamplingController Controller(Config, 11);
+      Runtime RT(D, &Controller);
+      EXPECT_EQ(RT.replay(T), T.size());
+      const auto Diff = std::mismatch(D.Calls.begin(), D.Calls.end(),
+                                      Expected.begin(), Expected.end());
+      EXPECT_TRUE(Diff.first == D.Calls.end() &&
+                  Diff.second == Expected.end())
+          << "first difference at hook " << (Diff.first - D.Calls.begin())
+          << " of " << Expected.size();
+    }
+  }
 }
 
 } // namespace

@@ -6,10 +6,13 @@
 // The daemon feeds attacker-controlled bytes straight into these readers,
 // so every corruption must produce a clean diagnostic -- never a crash,
 // an abort (e.g. a reserve() sized from a hostile record count), or a
-// silently truncated parse.
+// silently truncated parse. Record-level corruptions also run through
+// every AnalysisSession::analyzeFile path, where the default path leaves
+// the record check to the replay segmenter.
 //
 //===----------------------------------------------------------------------===//
 
+#include "runtime/AnalysisSession.h"
 #include "sim/StreamingTraceReader.h"
 #include "sim/TraceIO.h"
 #include "sim/TraceView.h"
@@ -251,6 +254,132 @@ TEST(TraceCorruptionTest, EmptyAndGarbageFilesRejectCleanly) {
     StreamingTraceReader Stream(Path, 4);
     EXPECT_TRUE(streamRejects(Stream)) << Case.Name;
     std::remove(Path.c_str());
+  }
+}
+
+/// A legal trace with the shapes the segmenter treats specially, over
+/// \p Local, a variable the escape-analysis filter drops (so under
+/// ElideLocalAccesses the replayed trace's indices differ from the
+/// file's).
+Trace segmenterShapesTrace(VarId Local) {
+  return TraceBuilder()
+      .fork(0, 1)      // 0: thread 0's first sight.
+      .write(0, Local) // 1
+      .read(0, 5)      // 2
+      .acq(1, 3)       // 3: thread 1's first sight, opens a pair run.
+      .rel(1, 3)       // 4
+      .acq(1, 3)       // 5
+      .rel(1, 3)       // 6
+      .write(1, 6)     // 7: just after the pair run.
+      .read(1, Local)  // 8
+      .fork(0, 2)      // 9
+      .read(0, 5)      // 10: an access run opens.
+      .read(2, 6)      // 11: thread 2's first sight, inside the run.
+      .write(2, 7)     // 12: just after that first sight.
+      .read(2, 8)      // 13
+      .exit(2)         // 14
+      .join(0, 2)      // 15
+      .exit(1)         // 16
+      .join(0, 1)      // 17
+      .write(0, 9)     // 18
+      .exit(0)         // 19: the last record.
+      .take();
+}
+
+TEST(TraceCorruptionTest, EveryAnalysisPathGivesTheViewsDiagnostic) {
+  const CompiledWorkload &Workload = flatSiteWorkload();
+  const VarId Local = Workload.localVar(0, 0);
+  ASSERT_TRUE(Workload.isLocalVar(Local));
+  const Trace Base = segmenterShapesTrace(Local);
+
+  const struct {
+    const char *Name;
+    Action (*Corrupt)(Action);
+  } Corruptions[] = {
+      {"bad_kind_byte",
+       [](Action A) {
+         A.Kind = static_cast<ActionKind>(0xEE);
+         return A;
+       }},
+      {"fork_tid_out_of_range",
+       [](Action A) { return Action{ActionKind::Fork, A.Tid, 0xFFFFFFFEu}; }},
+      {"join_tid_out_of_range",
+       [](Action A) { return Action{ActionKind::Join, A.Tid, 0xFFFFFFFEu}; }},
+      {"read_missing_target",
+       [](Action A) {
+         return Action{ActionKind::Read, A.Tid, InvalidId, 42};
+       }},
+      {"write_missing_target",
+       [](Action A) {
+         return Action{ActionKind::Write, A.Tid, InvalidId, 42};
+       }},
+      {"acquire_missing_target",
+       [](Action A) { return Action{ActionKind::Acquire, A.Tid, InvalidId}; }},
+      {"volatile_write_missing_target",
+       [](Action A) {
+         return Action{ActionKind::VolatileWrite, A.Tid, InvalidId};
+       }},
+      {"read_tombstone_target",
+       [](Action A) {
+         return Action{ActionKind::Read, A.Tid, InvalidId - 1, 42};
+       }},
+  };
+  const size_t Positions[] = {0, 12, 7, Base.size() - 1};
+  const DetectorSetup Setups[] = {pacerSetup(0.03), fastTrackSetup(),
+                                  literaceSetup()};
+
+  // Every path analyses the uncorrupted trace cleanly, or the rejections
+  // below would prove nothing.
+  auto ForEachPath = [&](auto &&Check) {
+    for (const DetectorSetup &Setup : Setups)
+      for (unsigned Shards : {1u, 4u, 0u})
+        for (bool Stream : {false, true})
+          for (bool Elide : {false, true}) {
+            AnalysisRequest Request;
+            Request.Setup = Setup;
+            Request.Setup.Shards = Shards;
+            Request.Setup.ElideLocalAccesses = Elide;
+            Request.Stream = Stream;
+            Request.StreamWindow = 4;
+            SCOPED_TRACE(std::string(detectorKindName(Setup.Kind)) +
+                         " shards=" + std::to_string(Shards) +
+                         " stream=" + std::to_string(Stream) +
+                         " elide=" + std::to_string(Elide));
+            Check(AnalysisSession(Workload, Request));
+          }
+  };
+  {
+    const std::string Path =
+        writeCorpusFile("pacer_corrupt_shapes_ok", binaryImage(Base));
+    ForEachPath([&](const AnalysisSession &Session) {
+      AnalysisResult Result = Session.analyzeFile(Path);
+      EXPECT_TRUE(Result.Ok) << Result.Error;
+      EXPECT_EQ(Result.TraceEvents, Base.size());
+    });
+    std::remove(Path.c_str());
+  }
+
+  for (const auto &Corruption : Corruptions) {
+    for (size_t Pos : Positions) {
+      Trace Bad = Base;
+      Bad[Pos] = Corruption.Corrupt(Bad[Pos]);
+      const std::string Path = writeCorpusFile(
+          std::string("pacer_corrupt_shapes_") + Corruption.Name + "_" +
+              std::to_string(Pos),
+          binaryImage(Bad));
+      SCOPED_TRACE(std::string(Corruption.Name) + " at record " +
+                   std::to_string(Pos));
+      const std::string Expected = TraceView::open(Path).error();
+      ASSERT_NE(Expected.find(" in record " + std::to_string(Pos)),
+                std::string::npos)
+          << Expected;
+      ForEachPath([&](const AnalysisSession &Session) {
+        AnalysisResult Result = Session.analyzeFile(Path);
+        EXPECT_FALSE(Result.Ok);
+        EXPECT_EQ(Result.Error, Expected);
+      });
+      std::remove(Path.c_str());
+    }
   }
 }
 

@@ -394,7 +394,10 @@ int main(int Argc, char **Argv) {
   OptionRegistry R = buildRegistry();
   if (!R.parse(Argc, Argv))
     return R.helpRequested() ? 0 : 2;
-  if (!R.intInRange("tcp-port", -1, 65535))
+  if (!R.intInRange("tcp-port", -1, 65535) ||
+      !R.intInRange("stream-window", 1,
+                    static_cast<int64_t>(
+                        StreamingTraceReader::MaxWindowActions)))
     return 2;
 
   if (R.getBool("cpu-info"))
@@ -425,7 +428,6 @@ int main(int Argc, char **Argv) {
   auto MaxReports = static_cast<size_t>(R.getInt("max-reports"));
   bool WantStats = R.getBool("stats");
   bool WantTimes = R.getBool("times");
-  int64_t WindowFlag = R.getInt("stream-window");
   int64_t JobsFlag = R.getInt("jobs");
   unsigned Jobs = JobsFlag < 1 ? 1u : static_cast<unsigned>(JobsFlag);
   // Auto-sharding is opt-in: measured batches ran slower auto-sharded
@@ -436,8 +438,7 @@ int main(int Argc, char **Argv) {
   Request.Setup = Setup;
   Request.Seed = static_cast<uint64_t>(R.getInt("seed"));
   Request.Stream = R.getBool("stream");
-  Request.StreamWindow =
-      WindowFlag < 1 ? 1 : static_cast<size_t>(WindowFlag);
+  Request.StreamWindow = static_cast<size_t>(R.getInt("stream-window"));
 
   // Analyse the files concurrently, but print outcomes in argument order
   // so batch output is stable for any --jobs value.

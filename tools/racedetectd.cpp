@@ -116,7 +116,10 @@ int main(int Argc, char **Argv) {
       !R.intInRange("max-submission-mb", 1,
                     static_cast<int64_t>(UINT64_MAX >> 20)) ||
       !R.intInRange("drop-poll-ms", 1, INT_MAX) ||
-      !R.intInRange("recv-timeout-ms", 1, INT_MAX))
+      !R.intInRange("recv-timeout-ms", 1, INT_MAX) ||
+      !R.intInRange("stream-window", 1,
+                    static_cast<int64_t>(
+                        StreamingTraceReader::MaxWindowActions)))
     return 2;
 
   IngestServer::Config Config;
@@ -135,8 +138,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   Config.Seed = static_cast<uint64_t>(R.getInt("seed"));
-  int64_t WindowFlag = R.getInt("stream-window");
-  Config.StreamWindow = WindowFlag < 1 ? 1 : static_cast<size_t>(WindowFlag);
+  Config.StreamWindow = static_cast<size_t>(R.getInt("stream-window"));
   Config.MaxSubmissionBytes =
       static_cast<uint64_t>(R.getInt("max-submission-mb")) << 20;
   int64_t QueueFlag = R.getInt("queue");
