@@ -32,7 +32,7 @@
 #define PACER_BENCH_BENCHCOMMON_H
 
 #include "harness/DetectionExperiment.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/TraceIndex.h"
 #include "sim/Workloads.h"
 #include "support/CommandLine.h"

@@ -32,6 +32,12 @@ int main(int Argc, char **Argv) {
   for (const WorkloadSpec &Spec : Options.Workloads) {
     CompiledWorkload Workload(Spec);
     std::printf("--- %s ---\n", Spec.Name.c_str());
+    auto Analyze = [&](const DetectorSetup &Setup, uint32_t Trial) {
+      return AnalysisSession(Workload,
+                             {.Setup = Setup,
+                              .Seed = deriveTrialSeed(Options.Seed, Trial)})
+          .analyzeGenerated();
+    };
 
     // 1 & 2: operation counts and space at r = 3%.
     DetectorSetup Full = pacerSetup(0.03);
@@ -58,8 +64,7 @@ int main(int Argc, char **Argv) {
       uint64_t SlowJoins = 0, DeepCopies = 0, Races = 0;
       size_t Bytes = 0;
       for (uint32_t Trial = 0; Trial < Trials; ++Trial) {
-        TrialResult Result =
-            runTrial(Workload, C.Setup, deriveTrialSeed(Options.Seed, Trial));
+        AnalysisResult Result = Analyze(C.Setup, Trial);
         SlowJoins += Result.Stats.SlowJoinsNonSampling;
         DeepCopies += Result.Stats.DeepCopiesNonSampling;
         Races += Result.DynamicRaces;
@@ -79,10 +84,8 @@ int main(int Argc, char **Argv) {
     Uncorrected.Sampling.BiasCorrection = false;
     RunningStat WithFix, WithoutFix;
     for (uint32_t Trial = 0; Trial < Trials; ++Trial) {
-      WithFix.add(runTrial(Workload, Corrected, deriveTrialSeed(Options.Seed, Trial))
-                      .EffectiveAccessRate);
-      WithoutFix.add(runTrial(Workload, Uncorrected, deriveTrialSeed(Options.Seed, Trial))
-                         .EffectiveAccessRate);
+      WithFix.add(Analyze(Corrected, Trial).EffectiveAccessRate);
+      WithoutFix.add(Analyze(Uncorrected, Trial).EffectiveAccessRate);
     }
     std::printf("bias correction at r=10%%: corrected %s vs uncorrected "
                 "%s\n",
@@ -96,8 +99,8 @@ int main(int Argc, char **Argv) {
     uint64_t AccessesPlain = 0, AccessesElided = 0;
     double SecondsPlain = 0, SecondsElided = 0;
     for (uint32_t Trial = 0; Trial < Trials; ++Trial) {
-      TrialResult P = runTrial(Workload, Full, deriveTrialSeed(Options.Seed, Trial));
-      TrialResult E = runTrial(Workload, WithEscape, deriveTrialSeed(Options.Seed, Trial));
+      AnalysisResult P = Analyze(Full, Trial);
+      AnalysisResult E = Analyze(WithEscape, Trial);
       AccessesPlain += P.Stats.totalReads() + P.Stats.totalWrites();
       AccessesElided += E.Stats.totalReads() + E.Stats.totalWrites();
       SecondsPlain += P.ReplaySeconds;
@@ -117,10 +120,8 @@ int main(int Argc, char **Argv) {
     Original.FastTrack.ClearReadMapAtWrite = false;
     uint64_t ModifiedRaces = 0, OriginalRaces = 0;
     for (uint32_t Trial = 0; Trial < Trials; ++Trial) {
-      ModifiedRaces +=
-          runTrial(Workload, Modified, deriveTrialSeed(Options.Seed, Trial)).DynamicRaces;
-      OriginalRaces +=
-          runTrial(Workload, Original, deriveTrialSeed(Options.Seed, Trial)).DynamicRaces;
+      ModifiedRaces += Analyze(Modified, Trial).DynamicRaces;
+      OriginalRaces += Analyze(Original, Trial).DynamicRaces;
     }
     std::printf("FastTrack dynamic reports: paper-modified %llu vs "
                 "original %llu (original keeps stale read epochs)\n\n",

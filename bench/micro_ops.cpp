@@ -21,7 +21,7 @@
 #include "core/VersionEpoch.h"
 #include "detectors/PacerDetector.h"
 #include "detectors/FastTrackDetector.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/Runtime.h"
 #include "runtime/TraceIndex.h"
 #include "sim/TraceGenerator.h"
@@ -623,8 +623,9 @@ int runJsonMode(int Argc, const char *const *Argv) {
     DetectorSetup Setup = NS.Setup;
     Setup.Shards = Shards;
     for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-      TrialResult Result = runTrialOnTrace(T, Workload, Setup, Seed,
-                                           Index ? &*Index : nullptr);
+      AnalysisResult Result =
+          AnalysisSession(Workload, {.Setup = Setup, .Seed = Seed})
+              .analyzeTrace(T, Index ? &*Index : nullptr);
       Races = Result.DynamicRaces;
       double Seconds = Result.ReplaySeconds;
       NsPerEvent.push_back(T.empty() ? 0.0

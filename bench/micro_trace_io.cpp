@@ -22,7 +22,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/StreamingTraceReader.h"
 #include "sim/TraceGenerator.h"
 #include "sim/TraceIO.h"
@@ -103,7 +103,9 @@ int main(int Argc, char **Argv) {
   // Replays a loaded span; returns the trial's dynamic race count.
   auto TimeReplay = [&](TraceSpan Span, std::vector<double> &Ms) {
     Timer Replay;
-    TrialResult Result = runTrialOnTrace(Span, Workload, Setup, Seed);
+    AnalysisResult Result =
+        AnalysisSession(Workload, {.Setup = Setup, .Seed = Seed})
+            .analyzeTrace(Span);
     Ms.push_back(Replay.seconds() * 1e3);
     return Result.DynamicRaces;
   };
@@ -189,13 +191,14 @@ int main(int Argc, char **Argv) {
       LoadMs.push_back(Load.seconds() * 1e3);
 
       StreamingTraceReader Reader(BinPath, Window);
-      std::string Error;
       Timer Replay;
-      TrialResult Result =
-          runTrialOnStream(Reader, Workload, Setup, Seed, &Error);
+      AnalysisResult Result =
+          AnalysisSession(Workload, {.Setup = Setup, .Seed = Seed})
+              .analyzeStream(Reader);
       ReplayMs.push_back(Replay.seconds() * 1e3);
-      if (!Error.empty()) {
-        std::fprintf(stderr, "stream replay failed: %s\n", Error.c_str());
+      if (!Result.Ok) {
+        std::fprintf(stderr, "stream replay failed: %s\n",
+                     Result.Error.c_str());
         return 1;
       }
       Out.DynamicRaces = Result.DynamicRaces;

@@ -55,8 +55,9 @@ int main(int Argc, char **Argv) {
           for (double Rate : Rates) {
             DetectorSetup Setup = pacerSetup(Rate);
             Setup.Sampling.PeriodBytes = PeriodBytes;
-            TrialResult Result =
-                runTrialOnTrace(T, Workload, Setup, Seed);
+            AnalysisResult Result =
+                AnalysisSession(Workload, {.Setup = Setup, .Seed = Seed})
+                    .analyzeTrace(T);
             Row.push_back(Result.EffectiveAccessRate * 100.0);
           }
           return Row;

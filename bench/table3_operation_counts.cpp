@@ -44,7 +44,11 @@ int main(int Argc, char **Argv) {
     Setup.Sampling.PeriodBytes = PeriodBytes;
     for (uint32_t Trial = 0; Trial < Trials; ++Trial) {
       DetectorStats Stats =
-          runTrial(Workload, Setup, deriveTrialSeed(Options.Seed, Trial)).Stats;
+          AnalysisSession(Workload,
+                          {.Setup = Setup,
+                           .Seed = deriveTrialSeed(Options.Seed, Trial)})
+              .analyzeGenerated()
+              .Stats;
       Sum.SlowJoinsSampling += Stats.SlowJoinsSampling;
       Sum.FastJoinsSampling += Stats.FastJoinsSampling;
       Sum.SlowJoinsNonSampling += Stats.SlowJoinsNonSampling;

@@ -7,7 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/TraceGenerator.h"
 #include "sim/Workloads.h"
 #include "support/Table.h"
@@ -51,7 +51,9 @@ int main() {
                    "metadata KB", "replay ms", "slow joins"});
   double BaselineMs = 0.0;
   for (const Entry &E : Entries) {
-    TrialResult Result = runTrialOnTrace(T, Workload, E.Setup, 7);
+    AnalysisResult Result =
+        AnalysisSession(Workload, {.Setup = E.Setup, .Seed = 7})
+            .analyzeTrace(T);
     if (BaselineMs == 0.0)
       BaselineMs = Result.ReplaySeconds * 1000.0;
     uint64_t SlowJoins = Result.Stats.SlowJoinsSampling +

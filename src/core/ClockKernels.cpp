@@ -291,6 +291,10 @@ void probeTags(const void *Base, const uint32_t *ByteOff,
 }
 
 void copyWords(uint32_t *Dst, const uint32_t *Src, size_t N) {
+  // memcpy's pointers must be valid even for zero bytes, and an empty
+  // clock may pass null.
+  if (N == 0)
+    return;
   std::memcpy(Dst, Src, N * sizeof(uint32_t));
 }
 

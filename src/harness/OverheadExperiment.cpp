@@ -2,7 +2,6 @@
 
 #include "harness/OverheadExperiment.h"
 
-#include "runtime/AnalysisSession.h"
 #include "runtime/TraceIndex.h"
 #include "sim/TraceGenerator.h"
 #include "support/Rng.h"
@@ -41,7 +40,7 @@ pacer::measureOverheads(const CompiledWorkload &Workload,
   // trace at the same shard count: the build then happens once, outside
   // every timed region, matching how a long-lived analysis would amortize
   // it. Mixed shard counts or local-access elision fall back to per-call
-  // handling inside runTrialOnTrace.
+  // handling inside AnalysisSession::analyzeTrace.
   unsigned SharedIndexShards = 0;
   {
     bool Uniform = !Active->empty();
@@ -86,8 +85,8 @@ pacer::measureOverheads(const CompiledWorkload &Workload,
               AnalysisSession(Workload, Request)
                   .analyzeTrace(T, Index ? &*Index : nullptr);
           Out.PerConfig.push_back(Result.ReplaySeconds);
-          Out.Hot.push_back(Result.HotAccesses);
-          Out.Cold.push_back(Result.ColdAccesses);
+          Out.Hot.push_back(Result.Stats.hotAccesses());
+          Out.Cold.push_back(Result.Stats.coldAccesses());
         }
         return Out;
       });

@@ -32,13 +32,8 @@ SpaceSeries pacer::measureSpace(const CompiledWorkload &Workload,
 
   RaceLog Log;
   std::unique_ptr<Detector> D = makeDetector(Setup, Log, Workload, Seed);
-  std::unique_ptr<SamplingController> Controller;
-  if (Setup.Kind == DetectorKind::Pacer) {
-    SamplingConfig Sampling = Setup.Sampling;
-    Sampling.TargetRate = Setup.SamplingRate;
-    Controller =
-        std::make_unique<SamplingController>(Sampling, Seed ^ 0x47432121u);
-  }
+  std::unique_ptr<SamplingController> Controller =
+      makeSamplingController(Setup, Seed);
   Runtime RT(*D, Controller.get());
   RT.start();
 

@@ -101,6 +101,16 @@ std::unique_ptr<Detector> pacer::makeDetector(const DetectorSetup &Setup,
   pacerUnreachable("unknown detector kind");
 }
 
+std::unique_ptr<SamplingController>
+pacer::makeSamplingController(const DetectorSetup &Setup, uint64_t Seed) {
+  if (Setup.Kind != DetectorKind::Pacer)
+    return nullptr;
+  SamplingConfig Sampling = Setup.Sampling;
+  Sampling.TargetRate = Setup.SamplingRate;
+  return std::make_unique<SamplingController>(Sampling,
+                                              Seed ^ 0x47432121u /*"GC!!"*/);
+}
+
 const CompiledWorkload &pacer::flatSiteWorkload() {
   // Leaked singleton: destruction order vs. static session objects is not
   // worth reasoning about for an immutable table.
@@ -112,22 +122,6 @@ const CompiledWorkload &pacer::flatSiteWorkload() {
   return *Flat;
 }
 
-TrialResult AnalysisResult::trial() const {
-  TrialResult R;
-  R.Races = Races;
-  R.DynamicRaces = DynamicRaces;
-  R.Stats = Stats;
-  R.EffectiveAccessRate = EffectiveAccessRate;
-  R.EffectiveSyncRate = EffectiveSyncRate;
-  R.LiteRaceEffectiveRate = LiteRaceEffectiveRate;
-  R.Boundaries = Boundaries;
-  R.TraceEvents = TraceEvents;
-  R.ReplaySeconds = ReplaySeconds;
-  R.FinalMetadataBytes = FinalMetadataBytes;
-  R.PeakSlotCount = PeakSlotCount;
-  return R;
-}
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -136,9 +130,95 @@ double secondsSince(Clock::time_point Start) {
   return std::chrono::duration<double>(Clock::now() - Start).count();
 }
 
-/// The one replay core every entry point funnels into: \p Replay is the
-/// (already elide-filtered) action stream, \p Shards the resolved count.
-/// Fills the detection and timing fields of \p Out.
+/// Drops the accesses to thread-local variables from \p T under
+/// ElideLocalAccesses -- the escape-analysis pass removed their
+/// instrumentation: they execute (cost nothing here) but are never
+/// analysed -- and returns \p T itself otherwise. \p Scratch holds the
+/// filtered copy.
+TraceSpan elideLocals(TraceSpan T, const DetectorSetup &Setup,
+                      const CompiledWorkload &Workload, Trace &Scratch) {
+  if (!Setup.ElideLocalAccesses)
+    return T;
+  Scratch.clear();
+  Scratch.reserve(T.size());
+  for (const Action &A : T)
+    if (!(isAccessAction(A.Kind) && Workload.isLocalVar(A.Target)))
+      Scratch.push_back(A);
+  return Scratch;
+}
+
+/// The sequential replay core behind analyzeTrace and analyzeStream: one
+/// detector, its sampling controller and one Runtime, fed the trace as
+/// consecutive chunks (a span is one chunk). Chunk edges are invisible to
+/// the detector (Runtime::replayChunk), so every chunking gives the same
+/// result. The replay clock starts once the detector is built.
+class SequentialReplay {
+public:
+  SequentialReplay(const CompiledWorkload &Workload,
+                   const AnalysisRequest &Request)
+      : Request(Request),
+        D(makeDetector(Request.Setup, Log, Workload, Request.Seed)),
+        Controller(makeSamplingController(Request.Setup, Request.Seed)),
+        RT(*D, Controller.get(), Request.Setup.SyncBatching) {
+    RT.start();
+  }
+
+  /// Replays the next chunk. Returns false at the first record the
+  /// segmenter rejects, having delivered everything before it.
+  bool replay(TraceSpan Chunk) {
+    const size_t Done = RT.replayChunk(Chunk, AccessShard::all());
+    Replayed += Done;
+    if (Done < Chunk.size())
+      Rejected = validateActionRecord(Chunk[Done]);
+    return !Rejected;
+  }
+
+  /// Ends the replay. Sets Out's replay time, then either the error --
+  /// \p InputError if non-empty, else the rejected record's "REASON in
+  /// record N" -- or the detection fields.
+  void finish(AnalysisResult &Out, const std::string &InputError = {}) {
+    Out.ReplaySeconds = secondsSince(Start);
+    if (!InputError.empty() || Rejected) {
+      Out.Ok = false;
+      Out.Error = !InputError.empty()
+                      ? InputError
+                      : std::string(Rejected) + " in record " +
+                            std::to_string(Replayed);
+      return;
+    }
+    Out.Races = Log.counts();
+    Out.DynamicRaces = Log.dynamicCount();
+    Out.Stats = D->stats();
+    Out.ProbeVectorResolved = D->probeCounters().VectorResolved;
+    Out.ProbeScalarFallback = D->probeCounters().ScalarFallback;
+    if (Controller) {
+      Out.EffectiveAccessRate = Controller->effectiveAccessRate();
+      Out.EffectiveSyncRate = Controller->effectiveSyncRate();
+      Out.Boundaries = Controller->boundaryCount();
+    }
+    if (Request.Setup.Kind == DetectorKind::LiteRace)
+      Out.LiteRaceEffectiveRate =
+          LiteRaceDetector::effectiveRateFromStats(Out.Stats);
+    Out.FinalMetadataBytes = D->liveMetadataBytes();
+    Out.PeakSlotCount = D->peakSlotCount();
+    if (Request.CollectReports)
+      Out.SampleReports = Log.sampleReports();
+  }
+
+private:
+  const AnalysisRequest &Request;
+  RaceLog Log;
+  std::unique_ptr<Detector> D;
+  std::unique_ptr<SamplingController> Controller;
+  Runtime RT;
+  Clock::time_point Start = Clock::now();
+  size_t Replayed = 0;
+  const char *Rejected = nullptr;
+};
+
+/// Replays the (already elide-filtered) span \p Replay at the resolved
+/// shard count \p Shards and fills the detection and timing fields of
+/// \p Out.
 void replaySpan(const CompiledWorkload &Workload,
                 const AnalysisRequest &Request, TraceSpan Replay,
                 unsigned Shards, const TraceIndex *Index,
@@ -146,104 +226,61 @@ void replaySpan(const CompiledWorkload &Workload,
   const DetectorSetup &Setup = Request.Setup;
   Out.ResolvedShards = Shards;
   Out.Isa = kernels::activeIsa();
-
-  if (Shards > 1) {
-    ShardedReplayConfig Config;
-    Config.Shards = Shards;
-    Config.Jobs = Setup.ShardJobs;
-    Config.UseIndex = Setup.ShardUseIndex;
-    Config.Index = Index;
-    Config.SyncBatching = Setup.SyncBatching;
-    if (Setup.Kind == DetectorKind::Pacer) {
-      Config.UseController = true;
-      Config.Sampling = Setup.Sampling;
-      Config.Sampling.TargetRate = Setup.SamplingRate;
-      Config.ControllerSeed = Request.Seed ^ 0x47432121u /*"GC!!"*/;
-    }
-    // LiteRace's bursty samplers are code-indexed, so a replica would
-    // otherwise need the full access stream just to keep its sampling
-    // decisions replica-identical. Precompute the decision stream once
-    // (it is a pure function of the filtered trace, the seed and the
-    // config) and share it read-only: every replica becomes shard-local
-    // and the index can feed it owned-access runs only.
-    std::optional<LiteRaceSamplerPlan> LiteRacePlan;
-    if (Setup.Kind == DetectorKind::LiteRace)
-      LiteRacePlan = LiteRaceDetector::computeSamplerPlan(
-          Replay, Workload.siteToMethod(),
-          Request.Seed ^ 0x4c495445u /*"LITE"*/, Setup.LiteRace);
-    DetectorFactory Factory = [&](RaceSink &Sink) {
-      std::unique_ptr<Detector> D =
-          makeDetector(Setup, Sink, Workload, Request.Seed);
-      if (LiteRacePlan)
-        static_cast<LiteRaceDetector &>(*D).setSamplerPlan(&*LiteRacePlan);
-      return D;
-    };
-    auto Start = Clock::now();
-    ShardedReplayResult Sharded = shardedReplay(Replay, Factory, Config);
-    Out.ReplaySeconds = secondsSince(Start);
-    Out.Races = std::move(Sharded.Races);
-    Out.DynamicRaces = Sharded.DynamicRaces;
-    Out.Stats = Sharded.Stats;
-    Out.HotAccesses = Sharded.Stats.hotAccesses();
-    Out.ColdAccesses = Sharded.Stats.coldAccesses();
-    Out.ProbeVectorResolved = Sharded.Probe.VectorResolved;
-    Out.ProbeScalarFallback = Sharded.Probe.ScalarFallback;
-    Out.EffectiveAccessRate = Sharded.EffectiveAccessRate;
-    Out.EffectiveSyncRate = Sharded.EffectiveSyncRate;
-    Out.Boundaries = Sharded.Boundaries;
-    if (Setup.Kind == DetectorKind::LiteRace)
-      Out.LiteRaceEffectiveRate =
-          LiteRaceDetector::effectiveRateFromStats(Out.Stats);
-    Out.FinalMetadataBytes = Sharded.FinalMetadataBytes;
-    Out.PeakSlotCount = Sharded.PeakSlotCount;
-    if (Request.CollectReports)
-      Out.SampleReports = std::move(Sharded.SampleReports);
+  if (Shards <= 1) {
+    SequentialReplay Core(Workload, Request);
+    Core.replay(Replay);
+    Core.finish(Out);
     return;
   }
 
-  RaceLog Log;
-  std::unique_ptr<Detector> D =
-      makeDetector(Setup, Log, Workload, Request.Seed);
-
-  std::unique_ptr<SamplingController> Controller;
-  if (Setup.Kind == DetectorKind::Pacer) {
-    SamplingConfig Sampling = Setup.Sampling;
-    Sampling.TargetRate = Setup.SamplingRate;
-    Controller = std::make_unique<SamplingController>(
-        Sampling, Request.Seed ^ 0x47432121u /*"GC!!"*/);
+  ShardedReplayConfig Config;
+  Config.Shards = Shards;
+  Config.Jobs = Setup.ShardJobs;
+  Config.UseIndex = Setup.ShardUseIndex;
+  Config.Index = Index;
+  Config.SyncBatching = Setup.SyncBatching;
+  if (std::unique_ptr<SamplingController> Controller =
+          makeSamplingController(Setup, Request.Seed)) {
+    Config.UseController = true;
+    Config.Sampling = Controller->config();
+    Config.ControllerSeed = Controller->seed();
   }
-
-  Runtime RT(*D, Controller.get(), Setup.SyncBatching);
+  // LiteRace's bursty samplers are code-indexed, so a replica would
+  // otherwise need the full access stream just to keep its sampling
+  // decisions replica-identical. Precompute the decision stream once
+  // (it is a pure function of the filtered trace, the seed and the
+  // config) and share it read-only: every replica becomes shard-local
+  // and the index can feed it owned-access runs only.
+  std::optional<LiteRaceSamplerPlan> LiteRacePlan;
+  if (Setup.Kind == DetectorKind::LiteRace)
+    LiteRacePlan = LiteRaceDetector::computeSamplerPlan(
+        Replay, Workload.siteToMethod(),
+        Request.Seed ^ 0x4c495445u /*"LITE"*/, Setup.LiteRace);
+  DetectorFactory Factory = [&](RaceSink &Sink) {
+    std::unique_ptr<Detector> D =
+        makeDetector(Setup, Sink, Workload, Request.Seed);
+    if (LiteRacePlan)
+      static_cast<LiteRaceDetector &>(*D).setSamplerPlan(&*LiteRacePlan);
+    return D;
+  };
   auto Start = Clock::now();
-  const size_t Replayed = RT.replay(Replay);
+  ShardedReplayResult Sharded = shardedReplay(Replay, Factory, Config);
   Out.ReplaySeconds = secondsSince(Start);
-  if (Replayed < Replay.size()) {
-    // The segmenter stopped at a record validateActionRecord rejects.
-    Out.Ok = false;
-    Out.Error = std::string(validateActionRecord(Replay[Replayed])) +
-                " in record " + std::to_string(Replayed);
-    return;
-  }
-
-  Out.Races = Log.counts();
-  Out.DynamicRaces = Log.dynamicCount();
-  Out.Stats = D->stats();
-  Out.HotAccesses = Out.Stats.hotAccesses();
-  Out.ColdAccesses = Out.Stats.coldAccesses();
-  Out.ProbeVectorResolved = D->probeCounters().VectorResolved;
-  Out.ProbeScalarFallback = D->probeCounters().ScalarFallback;
-  if (Controller) {
-    Out.EffectiveAccessRate = Controller->effectiveAccessRate();
-    Out.EffectiveSyncRate = Controller->effectiveSyncRate();
-    Out.Boundaries = Controller->boundaryCount();
-  }
+  Out.Races = std::move(Sharded.Races);
+  Out.DynamicRaces = Sharded.DynamicRaces;
+  Out.Stats = Sharded.Stats;
+  Out.ProbeVectorResolved = Sharded.Probe.VectorResolved;
+  Out.ProbeScalarFallback = Sharded.Probe.ScalarFallback;
+  Out.EffectiveAccessRate = Sharded.EffectiveAccessRate;
+  Out.EffectiveSyncRate = Sharded.EffectiveSyncRate;
+  Out.Boundaries = Sharded.Boundaries;
   if (Setup.Kind == DetectorKind::LiteRace)
     Out.LiteRaceEffectiveRate =
-        static_cast<LiteRaceDetector *>(D.get())->effectiveRate();
-  Out.FinalMetadataBytes = D->liveMetadataBytes();
-  Out.PeakSlotCount = D->peakSlotCount();
+        LiteRaceDetector::effectiveRateFromStats(Out.Stats);
+  Out.FinalMetadataBytes = Sharded.FinalMetadataBytes;
+  Out.PeakSlotCount = Sharded.PeakSlotCount;
   if (Request.CollectReports)
-    Out.SampleReports = Log.sampleReports();
+    Out.SampleReports = std::move(Sharded.SampleReports);
 }
 
 void noteAutoShards(AnalysisResult &Out, unsigned Resolved,
@@ -267,20 +304,12 @@ AnalysisResult AnalysisSession::analyzeTrace(TraceSpan T,
                                              const TraceIndex *Index) const {
   const DetectorSetup &Setup = Request.Setup;
 
-  // The escape-analysis pass removed instrumentation from thread-local
-  // accesses: they execute (cost nothing here) but are never analysed.
   // Filtering up front keeps the replay path -- sequential or sharded --
-  // identical to a trace that never contained them.
-  TraceSpan Replay = T;
+  // identical to a trace that never contained the elided accesses.
   Trace Filtered;
-  if (Setup.ElideLocalAccesses) {
-    Filtered.reserve(T.size());
-    for (const Action &A : T)
-      if (!(isAccessAction(A.Kind) && Workload.isLocalVar(A.Target)))
-        Filtered.push_back(A);
-    Replay = Filtered;
+  TraceSpan Replay = elideLocals(T, Setup, Workload, Filtered);
+  if (Setup.ElideLocalAccesses)
     Index = nullptr; // A caller index describes T, not the filtered trace.
-  }
 
   AnalysisResult Result;
   Result.TraceEvents = T.size();
@@ -297,70 +326,20 @@ AnalysisResult AnalysisSession::analyzeTrace(TraceSpan T,
 
 AnalysisResult
 AnalysisSession::analyzeStream(StreamingTraceReader &Reader) const {
-  const DetectorSetup &Setup = Request.Setup;
-
   AnalysisResult Result;
-  Result.ResolvedShards = 1;
   Result.Isa = kernels::activeIsa();
 
-  RaceLog Log;
-  std::unique_ptr<Detector> D =
-      makeDetector(Setup, Log, Workload, Request.Seed);
-
-  std::unique_ptr<SamplingController> Controller;
-  if (Setup.Kind == DetectorKind::Pacer) {
-    SamplingConfig Sampling = Setup.Sampling;
-    Sampling.TargetRate = Setup.SamplingRate;
-    Controller = std::make_unique<SamplingController>(
-        Sampling, Request.Seed ^ 0x47432121u /*"GC!!"*/);
-  }
-
-  Runtime RT(*D, Controller.get(), Setup.SyncBatching);
+  SequentialReplay Core(Workload, Request);
   Trace Filtered; // Reused per-chunk scratch under ElideLocalAccesses.
-  auto Start = Clock::now();
-  RT.start();
   for (TraceSpan Chunk = Reader.next(); !Chunk.empty();
        Chunk = Reader.next()) {
     Result.TraceEvents += Chunk.size();
-    TraceSpan Replay = Chunk;
-    if (Setup.ElideLocalAccesses) {
-      Filtered.clear();
-      for (const Action &A : Chunk)
-        if (!(isAccessAction(A.Kind) && Workload.isLocalVar(A.Target)))
-          Filtered.push_back(A);
-      Replay = Filtered;
-    }
     // The reader checked this window; the segmenter's check repeats it
     // and never stops short.
-    RT.replayChunk(Replay, AccessShard::all());
+    if (!Core.replay(elideLocals(Chunk, Request.Setup, Workload, Filtered)))
+      break;
   }
-  Result.ReplaySeconds = secondsSince(Start);
-
-  if (!Reader.ok()) {
-    Result.Ok = false;
-    Result.Error = Reader.error();
-    return Result;
-  }
-
-  Result.Races = Log.counts();
-  Result.DynamicRaces = Log.dynamicCount();
-  Result.Stats = D->stats();
-  Result.HotAccesses = Result.Stats.hotAccesses();
-  Result.ColdAccesses = Result.Stats.coldAccesses();
-  Result.ProbeVectorResolved = D->probeCounters().VectorResolved;
-  Result.ProbeScalarFallback = D->probeCounters().ScalarFallback;
-  if (Controller) {
-    Result.EffectiveAccessRate = Controller->effectiveAccessRate();
-    Result.EffectiveSyncRate = Controller->effectiveSyncRate();
-    Result.Boundaries = Controller->boundaryCount();
-  }
-  if (Setup.Kind == DetectorKind::LiteRace)
-    Result.LiteRaceEffectiveRate =
-        static_cast<LiteRaceDetector *>(D.get())->effectiveRate();
-  Result.FinalMetadataBytes = D->liveMetadataBytes();
-  Result.PeakSlotCount = D->peakSlotCount();
-  if (Request.CollectReports)
-    Result.SampleReports = Log.sampleReports();
+  Core.finish(Result, Reader.ok() ? std::string() : Reader.error());
   return Result;
 }
 

@@ -6,39 +6,31 @@
 ///
 /// \file
 /// One front door for every way this repository replays a trace through a
-/// detector. The replay machinery grew four organically separate entry
-/// points -- runTrial (generate + replay), runTrialOnTrace (in-memory or
-/// mmap span, optionally sharded), runTrialOnStream (bounded-window
-/// sequential), and shardedReplay (the raw engine) -- each with its own
-/// parameter spelling and result shape. AnalysisSession consolidates them:
+/// detector:
 ///
-///   AnalysisRequest  -- detector config (DetectorSetup, which already
+///   AnalysisRequest  -- detector config (DetectorSetup, which also
 ///                       carries the shard policy), trial seed, streaming
-///                       window, and report-collection switches, in one
-///                       struct;
+///                       window, and report collection, in one struct;
 ///   AnalysisSession  -- binds a request to the workload context (site ->
 ///                       method map, local-variable set) and exposes
 ///                       analyzeGenerated / analyzeTrace / analyzeStream /
 ///                       analyzeFile, which all produce
-///   AnalysisResult   -- the union of every consumer's needs: per-distinct
-///                       race counts, sample reports, detector stats,
-///                       controller rates, timing split (load / index /
-///                       analysis), resolved shard count, and an Ok/Error
-///                       pair for untrusted inputs.
+///   AnalysisResult   -- the one result type: per-distinct race counts,
+///                       sample reports, detector stats, controller rates,
+///                       timing split (load / index / analysis), resolved
+///                       shard count, and an Ok/Error pair for untrusted
+///                       inputs.
 ///
-/// The legacy free functions in harness/TrialRunner.h remain as thin
-/// compatibility wrappers over a session; results are bit-identical (the
-/// session *is* the moved implementation). analyzeFile subsumes the read-
-/// path policy that previously lived in tools/racedetect: binary traces
-/// analyse from an mmap view, Stream mode keeps peak trace-resident
-/// memory at O(window) and auto-shard resolution runs as an extra bounded
-/// pass, text traces parse or stream line by line -- results are
-/// bit-identical across every path for a given (Setup, Seed).
+/// Every sequential analysis -- an in-memory or mapped span, a streamed
+/// file, an explicit reader -- runs through one replay core that takes the
+/// trace in chunks (a span is one chunk). analyzeFile owns the read-path
+/// policy: binary traces analyse from an mmap view, Stream mode keeps peak
+/// trace-resident memory at O(window) and auto-shard resolution runs as an
+/// extra bounded pass, text traces parse or stream line by line. Results
+/// are bit-identical across every path for a given (Setup, Seed).
 ///
-/// This header also hosts DetectorKind / DetectorSetup / makeDetector and
-/// TrialResult (moved from harness/TrialRunner.h so the runtime layer can
-/// own the facade without depending on the harness; TrialRunner.h
-/// re-exports them, so existing includes keep working).
+/// This header also hosts DetectorKind / DetectorSetup and the factories
+/// that turn a setup into a detector and its sampling controller.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,30 +119,11 @@ std::unique_ptr<Detector> makeDetector(const DetectorSetup &Setup,
                                        const CompiledWorkload &Workload,
                                        uint64_t Seed);
 
-/// Everything measured in one trial (the legacy result shape; see
-/// AnalysisResult for the superset the session returns).
-struct TrialResult {
-  std::unordered_map<RaceKey, uint64_t> Races; ///< Distinct -> dynamic.
-  uint64_t DynamicRaces = 0;
-  DetectorStats Stats;
-  double EffectiveAccessRate = 0.0; ///< PACER only.
-  double EffectiveSyncRate = 0.0;   ///< PACER only.
-  double LiteRaceEffectiveRate = 0.0;
-  uint64_t Boundaries = 0;
-  uint64_t TraceEvents = 0;
-  double ReplaySeconds = 0.0;
-  size_t FinalMetadataBytes = 0;
-  /// High-water thread-slot count (replica 0 under sharded replay).
-  /// Without recycling this is the number of threads ever started; with
-  /// it, the live-thread high-water mark between compactions.
-  size_t PeakSlotCount = 0;
-
-  bool sawRace(RaceKey Key) const { return Races.count(Key) != 0; }
-  uint64_t dynamicCount(RaceKey Key) const {
-    auto It = Races.find(Key);
-    return It == Races.end() ? 0 : It->second;
-  }
-};
+/// The sampling controller a PACER analysis with trial seed \p Seed runs
+/// under: Setup.Sampling at Setup.SamplingRate, seeded from \p Seed. Null
+/// for every other detector kind, none of which samples by period.
+std::unique_ptr<SamplingController>
+makeSamplingController(const DetectorSetup &Setup, uint64_t Seed);
 
 /// One replay request: everything that parameterizes an analysis except
 /// the input bytes themselves (which pick the analyze* entry point).
@@ -175,11 +148,12 @@ struct AnalysisRequest {
   bool CollectReports = true;
 };
 
-/// Union result of every analyze* entry point. Fields a path does not
-/// produce are value-initialized (e.g. LoadSeconds on analyzeStream).
+/// What one analysis measured, whichever analyze* entry point ran it.
+/// Fields a path does not produce are value-initialized (e.g. LoadSeconds
+/// on analyzeStream).
 struct AnalysisResult {
-  /// False when the input could not be read / parsed; Error says why and
-  /// every other field is best-effort (counts cover the prefix analysed).
+  /// False when the input could not be read / parsed; Error says why, and
+  /// the detection fields (races, stats, rates, metadata) stay empty.
   bool Ok = true;
   std::string Error;
 
@@ -193,14 +167,10 @@ struct AnalysisResult {
   uint64_t TraceEvents = 0;
   double ReplaySeconds = 0.0;
   size_t FinalMetadataBytes = 0;
+  /// High-water thread-slot count (replica 0 under sharded replay).
+  /// Without recycling this is the number of threads ever started; with
+  /// it, the live-thread high-water mark between compactions.
   size_t PeakSlotCount = 0;
-  /// Accesses analysed on the hot (sampling / full-analysis) path vs.
-  /// handled on the cold (non-sampling fast or discard) path -- the
-  /// DetectorStats split, surfaced so Figure 7's overhead breakdown and
-  /// racedetect --times can attribute time per phase. Hot + Cold equals
-  /// the analysed access count.
-  uint64_t HotAccesses = 0;
-  uint64_t ColdAccesses = 0;
   /// Gather-probe split of PACER's sampling-phase batch
   /// (Detector::probeCounters, summed across shard replicas): staged keys
   /// the vector probe resolved vs. keys that fell back to the scalar
@@ -233,9 +203,11 @@ struct AnalysisResult {
   /// streaming fallbacks); one '\n'-terminated line each.
   std::string Notes;
 
-  /// The legacy TrialResult view of this result (exact field mapping; the
-  /// compatibility wrappers in harness/TrialRunner.h return this).
-  TrialResult trial() const;
+  bool sawRace(RaceKey Key) const { return Races.count(Key) != 0; }
+  uint64_t dynamicCount(RaceKey Key) const {
+    auto It = Races.find(Key);
+    return It == Races.end() ? 0 : It->second;
+  }
 };
 
 /// Facade binding one AnalysisRequest to a workload context. The workload
@@ -254,24 +226,23 @@ public:
   const AnalysisRequest &request() const { return Request; }
   const CompiledWorkload &workload() const { return Workload; }
 
-  /// Generates the workload's trace for Request.Seed and analyses it
-  /// (the legacy runTrial).
+  /// Generates the workload's trace for Request.Seed and analyses it.
   AnalysisResult analyzeGenerated() const;
 
-  /// Analyses an in-memory or memory-mapped trace span (the legacy
-  /// runTrialOnTrace). \p Index, when non-null, must describe \p T; it is
-  /// reused when its shard count matches the resolved Setup.Shards and
-  /// ignored otherwise (and always ignored under ElideLocalAccesses,
-  /// which replays a filtered trace). Sharded and filtered replays
-  /// require \p T's records to pass validateActionRecord. A sequential
-  /// unfiltered replay checks them as it segments: at the first invalid
-  /// record it stops with Ok = false and Error "REASON in record N".
+  /// Analyses an in-memory or memory-mapped trace span. \p Index, when
+  /// non-null, must describe \p T; it is reused when its shard count
+  /// matches the resolved Setup.Shards and ignored otherwise (and always
+  /// ignored under ElideLocalAccesses, which replays a filtered trace).
+  /// Sharded and filtered replays require \p T's records to pass
+  /// validateActionRecord. A sequential unfiltered replay checks them as
+  /// it segments: at the first invalid record it stops with Ok = false
+  /// and Error "REASON in record N".
   AnalysisResult analyzeTrace(TraceSpan T,
                               const TraceIndex *Index = nullptr) const;
 
-  /// Analyses a trace from \p Reader's bounded window (the legacy
-  /// runTrialOnStream): sequential, O(window) trace-resident memory,
-  /// Setup.Shards ignored. Reader errors surface as Ok = false.
+  /// Analyses a trace from \p Reader's bounded window: sequential,
+  /// O(window) trace-resident memory, Setup.Shards ignored. Reader errors
+  /// surface as Ok = false.
   AnalysisResult analyzeStream(StreamingTraceReader &Reader) const;
 
   /// Analyses a trace file, auto-detecting text vs binary. The default

@@ -7,7 +7,7 @@
 using namespace pacer;
 
 SamplingController::SamplingController(SamplingConfig ConfigIn, uint64_t Seed)
-    : Config(ConfigIn), Random(Seed ^ 0x53414d50u /*"SAMP"*/) {
+    : Config(ConfigIn), Random(Seed ^ 0x53414d50u /*"SAMP"*/), Seed(Seed) {
   Config.TargetRate = std::clamp(Config.TargetRate, 0.0, 1.0);
 }
 

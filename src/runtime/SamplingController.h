@@ -171,6 +171,12 @@ public:
 
   bool isSampling() const { return Sampling; }
 
+  /// The configuration (rate clamped to [0, 1]) and seed this controller
+  /// was built with. A controller built from them makes the same
+  /// decisions; sharded replay builds one per replica that way.
+  const SamplingConfig &config() const { return Config; }
+  uint64_t seed() const { return Seed; }
+
 private:
   /// Probability of entering a sampling period at the next boundary.
   double entryProbability() const;
@@ -197,6 +203,8 @@ private:
   uint64_t PeriodSyncOps = 0;
   double AvgSamplingWork = -1.0;    // Negative = no estimate yet.
   double AvgNonSamplingWork = -1.0;
+
+  uint64_t Seed;
 };
 
 } // namespace pacer

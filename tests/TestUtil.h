@@ -8,8 +8,9 @@
 /// Helpers shared across the test suite: a race sink that collects full
 /// reports, a fluent builder for hand-written traces, a dispatcher that
 /// replays traces straight into a detector (no sampling controller), a
-/// wrapper that pins a detector to the per-access reference loop, and a
-/// legality validator for generated traces.
+/// wrapper that pins a detector to the per-access reference loop, the one
+/// comparator for two analyses of the same trace, and a legality validator
+/// for generated traces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +19,14 @@
 
 #include "core/RaceReport.h"
 #include "detectors/Detector.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/Runtime.h"
 #include "sim/Action.h"
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <span>
 #include <string>
@@ -120,6 +125,48 @@ public:
     this->Detector::accessBatch(Batch, Shard);
   }
 };
+
+/// DetectorStats is a flat aggregate of u64 counters; bytewise equality
+/// is field equality.
+inline bool sameStats(const DetectorStats &A, const DetectorStats &B) {
+  return std::memcmp(&A, &B, sizeof(DetectorStats)) == 0;
+}
+
+/// \p R's sample reports, rendered and sorted: sharded replay merges them
+/// replica by replica, so only the set is order-independent.
+inline std::vector<std::string> sortedReports(const AnalysisResult &R) {
+  std::vector<std::string> Reports;
+  for (const RaceReport &Report : R.SampleReports)
+    Reports.push_back(Report.str());
+  std::sort(Reports.begin(), Reports.end());
+  return Reports;
+}
+
+/// Expects two analyses of one trace to agree on everything deterministic:
+/// races and dynamic counts, DetectorStats, the three rates, boundaries,
+/// trace events, final metadata bytes and peak slot count, plus the
+/// sorted sample reports when both ran at one shard count (sharded replay
+/// caps reports per replica). Probe counters are diagnostics that change
+/// with chunking, and timings change with everything; neither is compared.
+inline void expectSameAnalysis(const AnalysisResult &A,
+                               const AnalysisResult &B,
+                               const std::string &What = "") {
+  ASSERT_TRUE(A.Ok) << What << ": " << A.Error;
+  ASSERT_TRUE(B.Ok) << What << ": " << B.Error;
+  EXPECT_EQ(A.Races, B.Races) << What;
+  EXPECT_EQ(A.DynamicRaces, B.DynamicRaces) << What;
+  EXPECT_TRUE(sameStats(A.Stats, B.Stats)) << What;
+  EXPECT_EQ(A.EffectiveAccessRate, B.EffectiveAccessRate) << What;
+  EXPECT_EQ(A.EffectiveSyncRate, B.EffectiveSyncRate) << What;
+  EXPECT_EQ(A.LiteRaceEffectiveRate, B.LiteRaceEffectiveRate) << What;
+  EXPECT_EQ(A.Boundaries, B.Boundaries) << What;
+  EXPECT_EQ(A.TraceEvents, B.TraceEvents) << What;
+  EXPECT_EQ(A.FinalMetadataBytes, B.FinalMetadataBytes) << What;
+  EXPECT_EQ(A.PeakSlotCount, B.PeakSlotCount) << What;
+  if (A.ResolvedShards == B.ResolvedShards) {
+    EXPECT_EQ(sortedReports(A), sortedReports(B)) << What;
+  }
+}
 
 /// Checks synchronization legality of a generated trace. Returns an empty
 /// string if legal, else a description of the first violation.

@@ -4,9 +4,8 @@
 // loop in Detector::accessBatch is the reference it must match. Each
 // AnalysisSession result below is compared with the same replay run on
 // detectors wrapped in ForceDefaultBatch -- sequential Runtime at K = 1,
-// shardedReplay otherwise, same seeds -- and must match bit for bit:
-// races, dynamic count, DetectorStats (memcmp), rates, boundaries,
-// metadata bytes, the hot/cold split and the sorted sample reports.
+// shardedReplay otherwise, same seeds -- and must match bit for bit on
+// everything expectSameAnalysis compares.
 //
 // The matrix crosses Generic, FastTrack, PACER at r = 3% and 50%, and
 // LiteRace; shard counts {1, 4}; the indexed and full-scan engines; and
@@ -44,7 +43,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -53,10 +51,9 @@ using namespace pacer::test;
 
 namespace {
 
-/// The salts AnalysisSession mixes into the request seed for the sampling
-/// controller and for LiteRace's samplers.
-constexpr uint64_t ControllerSalt = 0x47432121u; // "GC!!"
-constexpr uint64_t LiteRaceSalt = 0x4c495445u;   // "LITE"
+/// The salt makeDetector mixes into the request seed for LiteRace's
+/// samplers.
+constexpr uint64_t LiteRaceSalt = 0x4c495445u; // "LITE"
 
 /// makeDetector's detector for \p Setup (accordion clocks off, as
 /// everywhere in this file), with accessBatch forced onto the per-access
@@ -89,21 +86,23 @@ AnalysisResult referenceAnalysis(const CompiledWorkload &Workload,
                                  const AnalysisRequest &Request,
                                  TraceSpan T) {
   const DetectorSetup &Setup = Request.Setup;
-  SamplingConfig Sampling = Setup.Sampling;
-  Sampling.TargetRate = Setup.SamplingRate;
-  const bool UseController = Setup.Kind == DetectorKind::Pacer;
-  const uint64_t ControllerSeed = Request.Seed ^ ControllerSalt;
+  std::unique_ptr<SamplingController> Controller =
+      makeSamplingController(Setup, Request.Seed);
 
   AnalysisResult Out;
+  Out.TraceEvents = T.size();
+  Out.ResolvedShards = Setup.Shards;
   if (Setup.Shards > 1) {
     ShardedReplayConfig Config;
     Config.Shards = Setup.Shards;
     Config.Jobs = Setup.ShardJobs;
     Config.UseIndex = Setup.ShardUseIndex;
     Config.SyncBatching = Setup.SyncBatching;
-    Config.UseController = UseController;
-    Config.Sampling = Sampling;
-    Config.ControllerSeed = ControllerSeed;
+    if (Controller) {
+      Config.UseController = true;
+      Config.Sampling = Controller->config();
+      Config.ControllerSeed = Controller->seed();
+    }
     ShardedReplayResult Sharded = shardedReplay(
         T,
         [&](RaceSink &Sink) {
@@ -117,6 +116,7 @@ AnalysisResult referenceAnalysis(const CompiledWorkload &Workload,
     Out.EffectiveSyncRate = Sharded.EffectiveSyncRate;
     Out.Boundaries = Sharded.Boundaries;
     Out.FinalMetadataBytes = Sharded.FinalMetadataBytes;
+    Out.PeakSlotCount = Sharded.PeakSlotCount;
     Out.ProbeVectorResolved = Sharded.Probe.VectorResolved;
     Out.ProbeScalarFallback = Sharded.Probe.ScalarFallback;
     Out.SampleReports = std::move(Sharded.SampleReports);
@@ -124,10 +124,6 @@ AnalysisResult referenceAnalysis(const CompiledWorkload &Workload,
     RaceLog Log;
     std::unique_ptr<Detector> D =
         makeReference(Setup, Log, Workload, Request.Seed);
-    std::unique_ptr<SamplingController> Controller;
-    if (UseController)
-      Controller =
-          std::make_unique<SamplingController>(Sampling, ControllerSeed);
     Runtime RT(*D, Controller.get(), Setup.SyncBatching);
     RT.replay(T);
     Out.Races = Log.counts();
@@ -139,42 +135,15 @@ AnalysisResult referenceAnalysis(const CompiledWorkload &Workload,
       Out.Boundaries = Controller->boundaryCount();
     }
     Out.FinalMetadataBytes = D->liveMetadataBytes();
+    Out.PeakSlotCount = D->peakSlotCount();
     Out.ProbeVectorResolved = D->probeCounters().VectorResolved;
     Out.ProbeScalarFallback = D->probeCounters().ScalarFallback;
     Out.SampleReports = Log.sampleReports();
   }
-  Out.HotAccesses = Out.Stats.hotAccesses();
-  Out.ColdAccesses = Out.Stats.coldAccesses();
   if (Setup.Kind == DetectorKind::LiteRace)
     Out.LiteRaceEffectiveRate =
         LiteRaceDetector::effectiveRateFromStats(Out.Stats);
   return Out;
-}
-
-/// Sample reports in a shard-count-independent order.
-std::vector<std::string> sortedReports(const AnalysisResult &Result) {
-  std::vector<std::string> Reports;
-  for (const RaceReport &Report : Result.SampleReports)
-    Reports.push_back(Report.str());
-  std::sort(Reports.begin(), Reports.end());
-  return Reports;
-}
-
-void expectSameAnalysis(const AnalysisResult &Got,
-                        const AnalysisResult &Want, const std::string &What) {
-  ASSERT_TRUE(Got.Ok) << What << ": " << Got.Error;
-  EXPECT_EQ(Got.Races, Want.Races) << What;
-  EXPECT_EQ(Got.DynamicRaces, Want.DynamicRaces) << What;
-  EXPECT_EQ(std::memcmp(&Got.Stats, &Want.Stats, sizeof(DetectorStats)), 0)
-      << What;
-  EXPECT_EQ(Got.EffectiveAccessRate, Want.EffectiveAccessRate) << What;
-  EXPECT_EQ(Got.EffectiveSyncRate, Want.EffectiveSyncRate) << What;
-  EXPECT_EQ(Got.LiteRaceEffectiveRate, Want.LiteRaceEffectiveRate) << What;
-  EXPECT_EQ(Got.Boundaries, Want.Boundaries) << What;
-  EXPECT_EQ(Got.FinalMetadataBytes, Want.FinalMetadataBytes) << What;
-  EXPECT_EQ(Got.HotAccesses, Want.HotAccesses) << What;
-  EXPECT_EQ(Got.ColdAccesses, Want.ColdAccesses) << What;
-  EXPECT_EQ(sortedReports(Got), sortedReports(Want)) << What;
 }
 
 using NamedSetups = std::vector<std::pair<std::string, DetectorSetup>>;
@@ -434,8 +403,8 @@ TEST(BatchReferenceTest, PhaseSplitPartitionsAnalysedAccesses) {
       S.ReadSlowSampling + S.WriteSlowSampling + S.ReadSlowNonSampling +
       S.WriteSlowNonSampling + S.ReadFastNonSampling +
       S.WriteFastNonSampling;
-  EXPECT_EQ(Result.HotAccesses + Result.ColdAccesses, Analysed);
-  EXPECT_GT(Result.ColdAccesses, Result.HotAccesses);
+  EXPECT_EQ(S.hotAccesses() + S.coldAccesses(), Analysed);
+  EXPECT_GT(S.coldAccesses(), S.hotAccesses());
 }
 
 TEST(BatchReferenceTest, ProbeTallyPartitionsStagedAccesses) {
@@ -456,7 +425,7 @@ TEST(BatchReferenceTest, ProbeTallyPartitionsStagedAccesses) {
       AnalysisSession(Workload, Sequential).analyzeTrace(T);
   ASSERT_TRUE(Batched.Ok) << Batched.Error;
   EXPECT_GT(Probes(Batched), 0u);
-  EXPECT_EQ(Probes(Batched), Batched.HotAccesses);
+  EXPECT_EQ(Probes(Batched), Batched.Stats.hotAccesses());
 
   AnalysisResult Sharded =
       AnalysisSession(Workload, requestFor(pacerSetup(1.0), 4, true, Seed))

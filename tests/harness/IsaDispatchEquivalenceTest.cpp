@@ -3,7 +3,7 @@
 // Runtime-dispatch equivalence: every ISA path the dispatcher can select
 // on this build/host must be bit-identical to the scalar reference -- at
 // the kernel level (randomized differential tests per forced path) and
-// end to end (exact TrialResult equality for all four detectors, shards
+// end to end (exact AnalysisResult equality for all four detectors, shards
 // {1, 4}, under each forced path). Plus the force/override API semantics
 // the PACER_FORCE_ISA machinery is built on.
 //
@@ -15,8 +15,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ClockKernels.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/Workloads.h"
+
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include <vector>
 
 using namespace pacer;
+using namespace pacer::test;
 using kernels::Isa;
 
 namespace {
@@ -160,47 +163,10 @@ TEST_F(IsaDispatchEquivalenceTest, KernelsMatchScalarReferencePerPath) {
 }
 
 //===----------------------------------------------------------------------===//
-// End-to-end TrialResult equality per forced path
+// End-to-end AnalysisResult equality per forced path
 //===----------------------------------------------------------------------===//
 
-void expectSameStats(const DetectorStats &A, const DetectorStats &B) {
-  EXPECT_EQ(A.SlowJoinsSampling, B.SlowJoinsSampling);
-  EXPECT_EQ(A.FastJoinsSampling, B.FastJoinsSampling);
-  EXPECT_EQ(A.SlowJoinsNonSampling, B.SlowJoinsNonSampling);
-  EXPECT_EQ(A.FastJoinsNonSampling, B.FastJoinsNonSampling);
-  EXPECT_EQ(A.DeepCopiesSampling, B.DeepCopiesSampling);
-  EXPECT_EQ(A.ShallowCopiesSampling, B.ShallowCopiesSampling);
-  EXPECT_EQ(A.DeepCopiesNonSampling, B.DeepCopiesNonSampling);
-  EXPECT_EQ(A.ShallowCopiesNonSampling, B.ShallowCopiesNonSampling);
-  EXPECT_EQ(A.ReadSlowSampling, B.ReadSlowSampling);
-  EXPECT_EQ(A.ReadSlowNonSampling, B.ReadSlowNonSampling);
-  EXPECT_EQ(A.ReadFastNonSampling, B.ReadFastNonSampling);
-  EXPECT_EQ(A.WriteSlowSampling, B.WriteSlowSampling);
-  EXPECT_EQ(A.WriteSlowNonSampling, B.WriteSlowNonSampling);
-  EXPECT_EQ(A.WriteFastNonSampling, B.WriteFastNonSampling);
-  EXPECT_EQ(A.RacesReported, B.RacesReported);
-  EXPECT_EQ(A.SyncOps, B.SyncOps);
-  EXPECT_EQ(A.ClockClones, B.ClockClones);
-}
-
-void expectSameResult(const TrialResult &A, const TrialResult &B) {
-  ASSERT_EQ(A.Races.size(), B.Races.size());
-  for (const auto &[Key, Count] : A.Races) {
-    auto It = B.Races.find(Key);
-    ASSERT_TRUE(It != B.Races.end()) << "race key missing in scalar run";
-    EXPECT_EQ(Count, It->second);
-  }
-  EXPECT_EQ(A.DynamicRaces, B.DynamicRaces);
-  expectSameStats(A.Stats, B.Stats);
-  EXPECT_EQ(A.EffectiveAccessRate, B.EffectiveAccessRate);
-  EXPECT_EQ(A.EffectiveSyncRate, B.EffectiveSyncRate);
-  EXPECT_EQ(A.LiteRaceEffectiveRate, B.LiteRaceEffectiveRate);
-  EXPECT_EQ(A.Boundaries, B.Boundaries);
-  EXPECT_EQ(A.TraceEvents, B.TraceEvents);
-  EXPECT_EQ(A.FinalMetadataBytes, B.FinalMetadataBytes);
-}
-
-TEST_F(IsaDispatchEquivalenceTest, TrialResultsBitIdenticalAcrossPaths) {
+TEST_F(IsaDispatchEquivalenceTest, AnalysisResultsBitIdenticalAcrossPaths) {
   DetectorSetup PacerSampled = pacerSetup(0.03);
   PacerSampled.Sampling.PeriodBytes = 12 * 1024; // Many period boundaries.
   const struct {
@@ -217,18 +183,20 @@ TEST_F(IsaDispatchEquivalenceTest, TrialResultsBitIdenticalAcrossPaths) {
     for (unsigned Shards : {1u, 4u}) {
       DetectorSetup Setup = NS.Setup;
       Setup.Shards = Shards;
+      const AnalysisSession Session(Workload,
+                                    {.Setup = Setup, .Seed = Seed});
       ASSERT_TRUE(kernels::setForceIsa(Isa::Scalar));
-      TrialResult Reference = runTrial(Workload, Setup, Seed);
+      AnalysisResult Reference = Session.analyzeGenerated();
       for (Isa Kind : availableIsas()) {
         if (Kind == Isa::Scalar)
           continue;
         ASSERT_TRUE(kernels::setForceIsa(Kind));
-        TrialResult Forced = runTrial(Workload, Setup, Seed);
+        AnalysisResult Forced = Session.analyzeGenerated();
         kernels::clearForceIsa();
-        SCOPED_TRACE(std::string(NS.Name) + " shards=" +
-                     std::to_string(Shards) + " isa=" +
-                     kernels::isaName(Kind));
-        expectSameResult(Forced, Reference);
+        expectSameAnalysis(Forced, Reference,
+                           std::string(NS.Name) + " shards=" +
+                               std::to_string(Shards) + " isa=" +
+                               kernels::isaName(Kind));
       }
     }
   }

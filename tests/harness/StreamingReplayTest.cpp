@@ -3,14 +3,14 @@
 // The bit-identity matrix for the trace read paths: one generated trace,
 // replayed as {in-memory text parse, in-memory binary read, mmap view,
 // bounded-window stream} x {1 shard, 4 shards}, must produce exactly the
-// same TrialResult for every detector. Also pins the pieces that make
+// same AnalysisResult for every detector. Also pins the pieces that make
 // that hold: Runtime::replayChunk is chunking-invariant, and
 // TraceIndex::Builder is chunking-invariant and equal to the one-shot
 // build.
 //
 //===----------------------------------------------------------------------==//
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/RaceLog.h"
 #include "runtime/Runtime.h"
 #include "runtime/TraceIndex.h"
@@ -30,43 +30,6 @@ using namespace pacer;
 using namespace pacer::test;
 
 namespace {
-
-void expectSameStats(const DetectorStats &A, const DetectorStats &B) {
-  EXPECT_EQ(A.SlowJoinsSampling, B.SlowJoinsSampling);
-  EXPECT_EQ(A.FastJoinsSampling, B.FastJoinsSampling);
-  EXPECT_EQ(A.SlowJoinsNonSampling, B.SlowJoinsNonSampling);
-  EXPECT_EQ(A.FastJoinsNonSampling, B.FastJoinsNonSampling);
-  EXPECT_EQ(A.DeepCopiesSampling, B.DeepCopiesSampling);
-  EXPECT_EQ(A.ShallowCopiesSampling, B.ShallowCopiesSampling);
-  EXPECT_EQ(A.DeepCopiesNonSampling, B.DeepCopiesNonSampling);
-  EXPECT_EQ(A.ShallowCopiesNonSampling, B.ShallowCopiesNonSampling);
-  EXPECT_EQ(A.ReadSlowSampling, B.ReadSlowSampling);
-  EXPECT_EQ(A.ReadSlowNonSampling, B.ReadSlowNonSampling);
-  EXPECT_EQ(A.ReadFastNonSampling, B.ReadFastNonSampling);
-  EXPECT_EQ(A.WriteSlowSampling, B.WriteSlowSampling);
-  EXPECT_EQ(A.WriteSlowNonSampling, B.WriteSlowNonSampling);
-  EXPECT_EQ(A.WriteFastNonSampling, B.WriteFastNonSampling);
-  EXPECT_EQ(A.RacesReported, B.RacesReported);
-  EXPECT_EQ(A.SyncOps, B.SyncOps);
-  EXPECT_EQ(A.ClockClones, B.ClockClones);
-}
-
-void expectSameResult(const TrialResult &A, const TrialResult &B) {
-  ASSERT_EQ(A.Races.size(), B.Races.size());
-  for (const auto &[Key, Count] : A.Races) {
-    auto It = B.Races.find(Key);
-    ASSERT_TRUE(It != B.Races.end()) << "race key missing";
-    EXPECT_EQ(Count, It->second);
-  }
-  EXPECT_EQ(A.DynamicRaces, B.DynamicRaces);
-  expectSameStats(A.Stats, B.Stats);
-  EXPECT_EQ(A.EffectiveAccessRate, B.EffectiveAccessRate);
-  EXPECT_EQ(A.EffectiveSyncRate, B.EffectiveSyncRate);
-  EXPECT_EQ(A.LiteRaceEffectiveRate, B.LiteRaceEffectiveRate);
-  EXPECT_EQ(A.Boundaries, B.Boundaries);
-  EXPECT_EQ(A.TraceEvents, B.TraceEvents);
-  EXPECT_EQ(A.FinalMetadataBytes, B.FinalMetadataBytes);
-}
 
 struct NamedSetup {
   const char *Name;
@@ -106,14 +69,14 @@ TEST(StreamingReplayTest, AllReadPathsMatchForAllDetectors) {
       SCOPED_TRACE("shards=" + std::to_string(Shards));
       DetectorSetup Setup = NS.Setup;
       Setup.Shards = Shards;
+      const AnalysisSession Session(Workload, {.Setup = Setup, .Seed = Seed});
 
-      TrialResult Baseline = runTrialOnTrace(T, Workload, Setup, Seed);
-      expectSameResult(
-          Baseline, runTrialOnTrace(FromText.T, Workload, Setup, Seed));
-      expectSameResult(
-          Baseline, runTrialOnTrace(FromBinary.T, Workload, Setup, Seed));
-      expectSameResult(
-          Baseline, runTrialOnTrace(View.actions(), Workload, Setup, Seed));
+      AnalysisResult Baseline = Session.analyzeTrace(T);
+      expectSameAnalysis(Baseline, Session.analyzeTrace(FromText.T), "text");
+      expectSameAnalysis(Baseline, Session.analyzeTrace(FromBinary.T),
+                         "binary");
+      expectSameAnalysis(Baseline, Session.analyzeTrace(View.actions()),
+                         "view");
 
       // The streaming path is sequential; its result must match the
       // sharded in-memory runs too (sharding is bit-identical).
@@ -121,11 +84,8 @@ TEST(StreamingReplayTest, AllReadPathsMatchForAllDetectors) {
         for (const std::string &Path : {TextPath, BinPath}) {
           StreamingTraceReader Reader(Path, Window);
           ASSERT_TRUE(Reader.ok()) << Reader.error();
-          std::string Error;
-          TrialResult Streamed =
-              runTrialOnStream(Reader, Workload, Setup, Seed, &Error);
-          ASSERT_TRUE(Error.empty()) << Error;
-          expectSameResult(Baseline, Streamed);
+          expectSameAnalysis(Baseline, Session.analyzeStream(Reader),
+                             Path + " window " + std::to_string(Window));
         }
       }
     }
@@ -141,18 +101,15 @@ TEST(StreamingReplayTest, ReplayChunkIsChunkingInvariant) {
 
   for (const NamedSetup &NS : allSetups()) {
     SCOPED_TRACE(NS.Name);
-    TrialResult Baseline = runTrialOnTrace(T, Workload, NS.Setup, 3);
+    AnalysisResult Baseline =
+        AnalysisSession(Workload, {.Setup = NS.Setup, .Seed = 3})
+            .analyzeTrace(T);
     for (size_t Chunk : {size_t(1), size_t(13), size_t(257)}) {
       RaceLog Log;
       std::unique_ptr<Detector> D =
           makeDetector(NS.Setup, Log, Workload, 3);
-      std::unique_ptr<SamplingController> Controller;
-      if (NS.Setup.Kind == DetectorKind::Pacer) {
-        SamplingConfig Sampling = NS.Setup.Sampling;
-        Sampling.TargetRate = NS.Setup.SamplingRate;
-        Controller = std::make_unique<SamplingController>(
-            Sampling, 3 ^ 0x47432121u);
-      }
+      std::unique_ptr<SamplingController> Controller =
+          makeSamplingController(NS.Setup, 3);
       Runtime RT(*D, Controller.get());
       RT.start();
       for (size_t I = 0; I < T.size(); I += Chunk)
@@ -161,7 +118,7 @@ TEST(StreamingReplayTest, ReplayChunkIsChunkingInvariant) {
             AccessShard::all());
       EXPECT_EQ(Baseline.Races, Log.counts()) << "chunk " << Chunk;
       EXPECT_EQ(Baseline.DynamicRaces, Log.dynamicCount());
-      expectSameStats(Baseline.Stats, D->stats());
+      EXPECT_TRUE(sameStats(Baseline.Stats, D->stats()));
     }
   }
 }
@@ -211,25 +168,22 @@ TEST(StreamingReplayTest, StreamHonoursElideLocalAccesses) {
 
   DetectorSetup Setup = fastTrackSetup();
   Setup.ElideLocalAccesses = true;
-  TrialResult Baseline = runTrialOnTrace(T, Workload, Setup, Seed);
+  const AnalysisSession Session(Workload, {.Setup = Setup, .Seed = Seed});
 
   StreamingTraceReader Reader(Path, 61);
   ASSERT_TRUE(Reader.ok()) << Reader.error();
-  std::string Error;
-  TrialResult Streamed =
-      runTrialOnStream(Reader, Workload, Setup, Seed, &Error);
-  ASSERT_TRUE(Error.empty()) << Error;
-  expectSameResult(Baseline, Streamed);
+  expectSameAnalysis(Session.analyzeTrace(T), Session.analyzeStream(Reader));
   std::remove(Path.c_str());
 }
 
-TEST(StreamingReplayTest, StreamErrorSurfacesThroughTrialRunner) {
+TEST(StreamingReplayTest, StreamErrorSurfacesAsNotOk) {
   CompiledWorkload Workload(tinyTestWorkload());
   StreamingTraceReader Reader("/nonexistent/path/x.trace");
-  std::string Error;
-  TrialResult Result =
-      runTrialOnStream(Reader, Workload, fastTrackSetup(), 1, &Error);
-  EXPECT_FALSE(Error.empty());
+  AnalysisResult Result =
+      AnalysisSession(Workload, {.Setup = fastTrackSetup(), .Seed = 1})
+          .analyzeStream(Reader);
+  EXPECT_FALSE(Result.Ok);
+  EXPECT_FALSE(Result.Error.empty());
   EXPECT_EQ(Result.TraceEvents, 0u);
 }
 

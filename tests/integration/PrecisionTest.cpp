@@ -7,7 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -29,7 +29,9 @@ protected:
 
   void expectOnlyPlanted(const CompiledWorkload &Workload,
                          const DetectorSetup &Setup) {
-    TrialResult Result = runTrial(Workload, Setup, GetParam());
+    AnalysisResult Result =
+        AnalysisSession(Workload, {.Setup = Setup, .Seed = GetParam()})
+            .analyzeGenerated();
     std::set<RaceKey> Planted = plantedKeys(Workload);
     for (const auto &[Key, Count] : Result.Races)
       EXPECT_TRUE(Planted.count(Key))

@@ -1,76 +1,34 @@
 //===- tests/runtime/AnalysisSessionTest.cpp ------------------------------==//
 //
-// Regression pins for the AnalysisSession facade: the legacy entry points
-// (runTrial / runTrialOnTrace / runTrialOnStream, now thin wrappers) are
-// exactly equal to direct session calls for every detector kind at shard
-// counts 1 and 4, and the four analyze* paths over the same input --
-// in-memory trace, whole-file load, streamed file, explicit reader --
-// agree bit-for-bit on everything the analysis computes. These equalities
-// are what made consolidating four replay entry points behind one facade
-// safe, and they must survive future refactors of either layer.
+// Regression pins for the AnalysisSession facade: what a generated trial
+// reports for each detector kind, and that the analyze* paths over the
+// same input -- in-memory trace, whole-file load, streamed file, explicit
+// reader, at every chunking and shard count -- agree bit-for-bit on
+// everything the analysis computes. These equalities are what let every
+// sequential path share one replay core, and they must survive future
+// refactors of either layer.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/AnalysisSession.h"
 
-#include "harness/TrialRunner.h"
 #include "sim/TraceGenerator.h"
 #include "sim/TraceIO.h"
 #include "sim/Workloads.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 using namespace pacer;
+using namespace pacer::test;
 
 namespace {
-
-/// DetectorStats is a flat aggregate of u64 counters; bytewise equality
-/// is field equality.
-bool sameStats(const DetectorStats &A, const DetectorStats &B) {
-  return std::memcmp(&A, &B, sizeof(DetectorStats)) == 0;
-}
-
-/// Sorted race keys of the sample reports (sharded replay reorders the
-/// cross-shard report sequence; the set is what is stable).
-std::vector<RaceKey> reportKeys(const std::vector<RaceReport> &Reports) {
-  std::vector<RaceKey> Keys;
-  for (const RaceReport &Report : Reports)
-    Keys.push_back({std::min(Report.FirstSite, Report.SecondSite),
-                    std::max(Report.FirstSite, Report.SecondSite)});
-  std::sort(Keys.begin(), Keys.end(), [](RaceKey A, RaceKey B) {
-    return A.FirstSite != B.FirstSite ? A.FirstSite < B.FirstSite
-                                      : A.SecondSite < B.SecondSite;
-  });
-  return Keys;
-}
-
-void expectSameTrial(const TrialResult &A, const TrialResult &B,
-                     const std::string &What) {
-  EXPECT_EQ(A.Races, B.Races) << What;
-  EXPECT_EQ(A.DynamicRaces, B.DynamicRaces) << What;
-  EXPECT_TRUE(sameStats(A.Stats, B.Stats)) << What;
-  EXPECT_DOUBLE_EQ(A.EffectiveAccessRate, B.EffectiveAccessRate) << What;
-  EXPECT_DOUBLE_EQ(A.EffectiveSyncRate, B.EffectiveSyncRate) << What;
-  EXPECT_DOUBLE_EQ(A.LiteRaceEffectiveRate, B.LiteRaceEffectiveRate)
-      << What;
-  EXPECT_EQ(A.Boundaries, B.Boundaries) << What;
-  EXPECT_EQ(A.TraceEvents, B.TraceEvents) << What;
-}
-
-void expectSameAnalysis(const AnalysisResult &A, const AnalysisResult &B,
-                        const std::string &What) {
-  ASSERT_TRUE(A.Ok) << What << ": " << A.Error;
-  ASSERT_TRUE(B.Ok) << What << ": " << B.Error;
-  expectSameTrial(A.trial(), B.trial(), What);
-  EXPECT_EQ(reportKeys(A.SampleReports), reportKeys(B.SampleReports))
-      << What;
-}
 
 /// Every detector kind, with PACER configured to cross many sampling
 /// periods on the tiny workload.
@@ -84,67 +42,157 @@ std::vector<std::pair<std::string, DetectorSetup>> detectorMatrix() {
 }
 
 AnalysisRequest requestFor(DetectorSetup Setup, unsigned Shards,
-                           uint64_t Seed, bool CollectReports) {
+                           uint64_t Seed) {
   AnalysisRequest Request;
   Request.Setup = std::move(Setup);
   Request.Setup.Shards = Shards;
   Request.Setup.ShardJobs = 1; // Deterministic and CI-friendly.
   Request.Seed = Seed;
-  Request.CollectReports = CollectReports;
   return Request;
 }
 
-TEST(AnalysisSessionTest, LegacyWrappersEqualDirectSessionCalls) {
+TEST(AnalysisSessionTest, FastTrackFindsCertainRacesInTinyWorkload) {
   CompiledWorkload Workload(tinyTestWorkload());
-  const uint64_t Seed = 11;
-  Trace T = generateTrace(Workload, Seed);
+  AnalysisResult Result =
+      AnalysisSession(Workload, {.Setup = fastTrackSetup(), .Seed = 1})
+          .analyzeGenerated();
+  EXPECT_GT(Result.TraceEvents, 1000u);
+  EXPECT_GT(Result.DynamicRaces, 0u);
+  EXPECT_FALSE(Result.Races.empty());
+  EXPECT_GT(Result.ReplaySeconds, 0.0);
+  EXPECT_GT(Result.FinalMetadataBytes, 0u);
+}
 
-  for (const auto &[Name, Setup] : detectorMatrix()) {
-    for (unsigned Shards : {1u, 4u}) {
-      DetectorSetup Sharded = Setup;
-      Sharded.Shards = Shards;
-      Sharded.ShardJobs = 1;
-      const std::string What = Name + " K=" + std::to_string(Shards);
-
-      // The wrappers run with CollectReports off (the legacy API never
-      // exposed reports); mirror that in the direct calls.
-      AnalysisSession Session(
-          Workload, requestFor(Setup, Shards, Seed, /*CollectReports=*/false));
-
-      expectSameTrial(runTrial(Workload, Sharded, Seed),
-                      Session.analyzeGenerated().trial(),
-                      What + " runTrial");
-      expectSameTrial(runTrialOnTrace(T, Workload, Sharded, Seed),
-                      Session.analyzeTrace(T).trial(),
-                      What + " runTrialOnTrace");
-    }
+TEST(AnalysisSessionTest, ReportedKeysAreRacyPairs) {
+  CompiledWorkload Workload(tinyTestWorkload());
+  AnalysisResult Result =
+      AnalysisSession(Workload, {.Setup = fastTrackSetup(), .Seed = 2})
+          .analyzeGenerated();
+  std::set<RaceKey> Planted;
+  for (uint32_t Race = 0; Race < Workload.numRaces(); ++Race)
+    Planted.insert(Workload.racyKey(Race));
+  for (const auto &[Key, Count] : Result.Races) {
+    EXPECT_TRUE(Planted.count(Key))
+        << "every detected race must be a planted one (" << Key.FirstSite
+        << "," << Key.SecondSite << ")";
+    EXPECT_GT(Count, 0u);
   }
 }
 
-TEST(AnalysisSessionTest, StreamWrapperEqualsDirectStreamCall) {
+TEST(AnalysisSessionTest, PacerAtZeroFindsNothing) {
   CompiledWorkload Workload(tinyTestWorkload());
-  const uint64_t Seed = 13;
-  Trace T = generateTrace(Workload, Seed);
-  std::string Path =
-      ::testing::TempDir() + "/pacer_session_stream.btrace";
-  ASSERT_TRUE(writeTraceFileBinary(Path, T));
+  AnalysisResult Result =
+      AnalysisSession(Workload, {.Setup = pacerSetup(0.0), .Seed = 1})
+          .analyzeGenerated();
+  EXPECT_EQ(Result.DynamicRaces, 0u);
+  EXPECT_DOUBLE_EQ(Result.EffectiveAccessRate, 0.0);
+}
 
-  for (const auto &[Name, Setup] : detectorMatrix()) {
-    StreamingTraceReader WrapperReader(Path, /*WindowActions=*/512);
-    ASSERT_TRUE(WrapperReader.ok()) << WrapperReader.error();
-    std::string Error;
-    TrialResult Legacy =
-        runTrialOnStream(WrapperReader, Workload, Setup, Seed, &Error);
-    EXPECT_TRUE(Error.empty()) << Error;
+TEST(AnalysisSessionTest, PacerAtFullRateMatchesFastTrackKeys) {
+  CompiledWorkload Workload(tinyTestWorkload());
+  AnalysisResult FastTrack =
+      AnalysisSession(Workload, {.Setup = fastTrackSetup(), .Seed = 3})
+          .analyzeGenerated();
+  AnalysisResult Pacer =
+      AnalysisSession(Workload, {.Setup = pacerSetup(1.0), .Seed = 3})
+          .analyzeGenerated();
+  EXPECT_EQ(FastTrack.Races.size(), Pacer.Races.size());
+  for (const auto &[Key, Count] : FastTrack.Races)
+    EXPECT_EQ(Pacer.dynamicCount(Key), Count);
+  EXPECT_NEAR(Pacer.EffectiveAccessRate, 1.0, 1e-9);
+}
 
-    StreamingTraceReader SessionReader(Path, 512);
-    AnalysisSession Session(Workload,
-                            requestFor(Setup, 1, Seed, false));
-    AnalysisResult Direct = Session.analyzeStream(SessionReader);
-    ASSERT_TRUE(Direct.Ok) << Direct.Error;
-    expectSameTrial(Legacy, Direct.trial(), Name + " stream");
+TEST(AnalysisSessionTest, DeterministicAcrossRuns) {
+  CompiledWorkload Workload(tinyTestWorkload());
+  AnalysisResult A =
+      AnalysisSession(Workload, {.Setup = pacerSetup(0.3), .Seed = 5})
+          .analyzeGenerated();
+  AnalysisResult B =
+      AnalysisSession(Workload, {.Setup = pacerSetup(0.3), .Seed = 5})
+          .analyzeGenerated();
+  EXPECT_EQ(A.DynamicRaces, B.DynamicRaces);
+  EXPECT_EQ(A.Races, B.Races);
+  EXPECT_DOUBLE_EQ(A.EffectiveAccessRate, B.EffectiveAccessRate);
+}
+
+TEST(AnalysisSessionTest, PacerPopulatesSamplingFields) {
+  CompiledWorkload Workload(tinyTestWorkload());
+  DetectorSetup Setup = pacerSetup(0.5);
+  Setup.Sampling.PeriodBytes = 16 * 1024;
+  AnalysisResult Result =
+      AnalysisSession(Workload, {.Setup = Setup, .Seed = 7})
+          .analyzeGenerated();
+  EXPECT_GT(Result.Boundaries, 0u);
+  EXPECT_GT(Result.EffectiveAccessRate, 0.0);
+  EXPECT_GT(Result.EffectiveSyncRate, 0.0);
+}
+
+TEST(AnalysisSessionTest, LiteRacePopulatesEffectiveRate) {
+  CompiledWorkload Workload(tinyTestWorkload());
+  AnalysisResult Result =
+      AnalysisSession(Workload, {.Setup = literaceSetup(100), .Seed = 1})
+          .analyzeGenerated();
+  EXPECT_GT(Result.LiteRaceEffectiveRate, 0.0);
+  EXPECT_LE(Result.LiteRaceEffectiveRate, 1.0);
+}
+
+TEST(AnalysisSessionTest, MakeDetectorProducesEveryKind) {
+  CompiledWorkload Workload(tinyTestWorkload());
+  NullRaceSink Sink;
+  for (DetectorSetup Setup :
+       {nullSetup(), genericSetup(), fastTrackSetup(), pacerSetup(0.1),
+        literaceSetup()}) {
+    std::unique_ptr<Detector> D = makeDetector(Setup, Sink, Workload, 1);
+    ASSERT_NE(D, nullptr);
+    EXPECT_STREQ(D->name(), detectorKindName(Setup.Kind));
+    // Only PACER samples by period.
+    EXPECT_EQ(makeSamplingController(Setup, 1) != nullptr,
+              Setup.Kind == DetectorKind::Pacer);
   }
-  std::remove(Path.c_str());
+}
+
+TEST(AnalysisSessionTest, NullDetectorBaselineIsCheapest) {
+  CompiledWorkload Workload(tinyTestWorkload());
+  AnalysisResult Null =
+      AnalysisSession(Workload, {.Setup = nullSetup(), .Seed = 1})
+          .analyzeGenerated();
+  EXPECT_EQ(Null.DynamicRaces, 0u);
+  EXPECT_EQ(Null.FinalMetadataBytes, 0u);
+}
+
+TEST(AnalysisSessionTest, EscapeAnalysisElisionKeepsRacesDropsLocals) {
+  // Section 4: the compiler pass does not instrument provably local
+  // accesses. Eliding them must not change the races found (locals never
+  // race) but removes their instrumentation entirely.
+  CompiledWorkload Workload(tinyTestWorkload());
+  DetectorSetup Plain = fastTrackSetup();
+  DetectorSetup Elided = fastTrackSetup();
+  Elided.ElideLocalAccesses = true;
+  AnalysisResult WithLocals =
+      AnalysisSession(Workload, {.Setup = Plain, .Seed = 4})
+          .analyzeGenerated();
+  AnalysisResult WithoutLocals =
+      AnalysisSession(Workload, {.Setup = Elided, .Seed = 4})
+          .analyzeGenerated();
+  EXPECT_EQ(WithLocals.Races, WithoutLocals.Races);
+  EXPECT_LT(WithoutLocals.Stats.totalReads() +
+                WithoutLocals.Stats.totalWrites(),
+            (WithLocals.Stats.totalReads() + WithLocals.Stats.totalWrites()) /
+                2)
+      << "local accesses dominate the tiny workload's traffic";
+}
+
+TEST(AnalysisSessionTest, GenericAndFastTrackAgreeOnRaceExistence) {
+  CompiledWorkload Workload(tinyTestWorkload());
+  for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+    AnalysisResult Generic =
+        AnalysisSession(Workload, {.Setup = genericSetup(), .Seed = Seed})
+            .analyzeGenerated();
+    AnalysisResult FastTrack =
+        AnalysisSession(Workload, {.Setup = fastTrackSetup(), .Seed = Seed})
+            .analyzeGenerated();
+    EXPECT_EQ(Generic.Races.empty(), FastTrack.Races.empty());
+  }
 }
 
 TEST(AnalysisSessionTest, AllInputPathsAgreeBitForBit) {
@@ -156,8 +204,7 @@ TEST(AnalysisSessionTest, AllInputPathsAgreeBitForBit) {
 
   for (const auto &[Name, Setup] : detectorMatrix()) {
     for (unsigned Shards : {1u, 4u}) {
-      AnalysisSession Session(
-          Workload, requestFor(Setup, Shards, Seed, /*CollectReports=*/true));
+      AnalysisSession Session(Workload, requestFor(Setup, Shards, Seed));
       const std::string What = Name + " K=" + std::to_string(Shards);
 
       AnalysisResult FromTrace = Session.analyzeTrace(T);
@@ -166,8 +213,7 @@ TEST(AnalysisSessionTest, AllInputPathsAgreeBitForBit) {
       EXPECT_EQ(FromFile.ResolvedShards, Shards) << What;
 
       // Streamed file analysis: same numbers from O(window) memory.
-      AnalysisRequest Streamed =
-          requestFor(Setup, Shards, Seed, /*CollectReports=*/true);
+      AnalysisRequest Streamed = requestFor(Setup, Shards, Seed);
       Streamed.Stream = true;
       Streamed.StreamWindow = 700; // Forces many windows on ~10k actions.
       AnalysisResult FromStreamedFile =
@@ -178,6 +224,57 @@ TEST(AnalysisSessionTest, AllInputPathsAgreeBitForBit) {
   std::remove(Path.c_str());
 }
 
+TEST(AnalysisSessionTest, SequentialPathsAgreeOnEveryDeterministicField) {
+  // Every sequential input path feeds the one replay core a different
+  // chunking: the span in one piece, readers at windows of 1 action, 97
+  // actions and the whole trace, and analyzeFile mapping, parsing or
+  // streaming a binary or text file. Chunk edges must not show in any
+  // field the comparator checks, peak slot count included.
+  CompiledWorkload Workload(tinyTestWorkload());
+  const uint64_t Seed = 29;
+  Trace T = generateTrace(Workload, Seed);
+  const std::string BinPath =
+      ::testing::TempDir() + "/pacer_session_sequential.btrace";
+  const std::string TextPath =
+      ::testing::TempDir() + "/pacer_session_sequential.trace";
+  ASSERT_TRUE(writeTraceFile(BinPath, T, TraceFormat::Binary));
+  ASSERT_TRUE(writeTraceFile(TextPath, T, TraceFormat::Text));
+
+  auto Setups = detectorMatrix();
+  Setups.push_back({"null", nullSetup()});
+  for (const auto &[Name, Setup] : Setups) {
+    for (bool Accordion : {false, true}) {
+      for (bool Elide : {false, true}) {
+        AnalysisRequest Request = requestFor(Setup, 1, Seed);
+        Request.Setup.AccordionClocks = Accordion;
+        Request.Setup.ElideLocalAccesses = Elide;
+        const std::string Cell = Name + (Accordion ? " accordion" : "") +
+                                 (Elide ? " elided" : "");
+        const AnalysisSession Session(Workload, Request);
+        const AnalysisResult Span = Session.analyzeTrace(T);
+
+        AnalysisRequest Streamed = Request;
+        Streamed.Stream = true;
+        Streamed.StreamWindow = 97;
+        for (const std::string &Path : {BinPath, TextPath}) {
+          const std::string What = Cell + " " + Path;
+          for (size_t Window : {size_t(1), size_t(97), T.size()}) {
+            StreamingTraceReader Reader(Path, Window);
+            expectSameAnalysis(Span, Session.analyzeStream(Reader),
+                               What + " window " + std::to_string(Window));
+          }
+          expectSameAnalysis(Span, Session.analyzeFile(Path), What);
+          expectSameAnalysis(
+              Span, AnalysisSession(Workload, Streamed).analyzeFile(Path),
+              What + " streamed");
+        }
+      }
+    }
+  }
+  std::remove(BinPath.c_str());
+  std::remove(TextPath.c_str());
+}
+
 TEST(AnalysisSessionTest, ShardCountsAgreeAndAutoResolves) {
   CompiledWorkload Workload(tinyTestWorkload());
   const uint64_t Seed = 19;
@@ -185,19 +282,18 @@ TEST(AnalysisSessionTest, ShardCountsAgreeAndAutoResolves) {
   DetectorSetup Setup = fastTrackSetup();
 
   AnalysisResult Sequential =
-      AnalysisSession(Workload, requestFor(Setup, 1, Seed, true))
-          .analyzeTrace(T);
+      AnalysisSession(Workload, requestFor(Setup, 1, Seed)).analyzeTrace(T);
   AnalysisResult Sharded =
-      AnalysisSession(Workload, requestFor(Setup, 4, Seed, true))
-          .analyzeTrace(T);
+      AnalysisSession(Workload, requestFor(Setup, 4, Seed)).analyzeTrace(T);
   expectSameAnalysis(Sequential, Sharded, "K=1 vs K=4");
+  // Few enough reports that no replica reaches its sample cap.
+  EXPECT_EQ(sortedReports(Sequential), sortedReports(Sharded));
   EXPECT_EQ(Sequential.ResolvedShards, 1u);
   EXPECT_EQ(Sharded.ResolvedShards, 4u);
 
   // Auto shards (Shards = 0) resolve to a concrete count.
   AnalysisResult Auto =
-      AnalysisSession(Workload, requestFor(Setup, 0, Seed, true))
-          .analyzeTrace(T);
+      AnalysisSession(Workload, requestFor(Setup, 0, Seed)).analyzeTrace(T);
   ASSERT_TRUE(Auto.Ok) << Auto.Error;
   EXPECT_GE(Auto.ResolvedShards, 1u);
   expectSameAnalysis(Sequential, Auto, "K=1 vs auto");
@@ -210,7 +306,7 @@ TEST(AnalysisSessionTest, RepeatedCallsAreIndependentAndDeterministic) {
   Trace T = generateTrace(Workload, 23);
   DetectorSetup Pacer = pacerSetup(0.4);
   Pacer.Sampling.PeriodBytes = 16 * 1024;
-  AnalysisSession Session(Workload, requestFor(Pacer, 1, 23, true));
+  AnalysisSession Session(Workload, requestFor(Pacer, 1, 23));
 
   AnalysisResult First = Session.analyzeTrace(T);
   Session.analyzeTrace(T);

@@ -2,7 +2,7 @@
 
 #include "runtime/FleetAggregator.h"
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -147,7 +147,9 @@ TEST(FleetAggregatorTest, EndToEndEstimatesMatchPlantedOccurrence) {
   Setup.Sampling.PeriodBytes = 12 * 1024;
   FleetAggregator Fleet(0.25);
   for (uint64_t Instance = 0; Instance < 60; ++Instance) {
-    TrialResult Result = runTrial(Workload, Setup, 40000 + Instance);
+    AnalysisResult Result =
+        AnalysisSession(Workload, {.Setup = Setup, .Seed = 40000 + Instance})
+            .analyzeGenerated();
     RaceLog Log;
     for (const auto &[Key, Count] : Result.Races) {
       RaceReport Report;

@@ -16,7 +16,7 @@
 #include "detectors/FastTrackDetector.h"
 #include "detectors/LiteRaceDetector.h"
 #include "detectors/PacerDetector.h"
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "runtime/RaceLog.h"
 #include "runtime/Runtime.h"
 #include "runtime/ShardedReplay.h"
@@ -32,43 +32,6 @@ using namespace pacer;
 using namespace pacer::test;
 
 namespace {
-
-void expectSameStats(const DetectorStats &A, const DetectorStats &B) {
-  EXPECT_EQ(A.SlowJoinsSampling, B.SlowJoinsSampling);
-  EXPECT_EQ(A.FastJoinsSampling, B.FastJoinsSampling);
-  EXPECT_EQ(A.SlowJoinsNonSampling, B.SlowJoinsNonSampling);
-  EXPECT_EQ(A.FastJoinsNonSampling, B.FastJoinsNonSampling);
-  EXPECT_EQ(A.DeepCopiesSampling, B.DeepCopiesSampling);
-  EXPECT_EQ(A.ShallowCopiesSampling, B.ShallowCopiesSampling);
-  EXPECT_EQ(A.DeepCopiesNonSampling, B.DeepCopiesNonSampling);
-  EXPECT_EQ(A.ShallowCopiesNonSampling, B.ShallowCopiesNonSampling);
-  EXPECT_EQ(A.ReadSlowSampling, B.ReadSlowSampling);
-  EXPECT_EQ(A.ReadSlowNonSampling, B.ReadSlowNonSampling);
-  EXPECT_EQ(A.ReadFastNonSampling, B.ReadFastNonSampling);
-  EXPECT_EQ(A.WriteSlowSampling, B.WriteSlowSampling);
-  EXPECT_EQ(A.WriteSlowNonSampling, B.WriteSlowNonSampling);
-  EXPECT_EQ(A.WriteFastNonSampling, B.WriteFastNonSampling);
-  EXPECT_EQ(A.RacesReported, B.RacesReported);
-  EXPECT_EQ(A.SyncOps, B.SyncOps);
-  EXPECT_EQ(A.ClockClones, B.ClockClones);
-}
-
-void expectSameResult(const TrialResult &A, const TrialResult &B) {
-  ASSERT_EQ(A.Races.size(), B.Races.size());
-  for (const auto &[Key, Count] : A.Races) {
-    auto It = B.Races.find(Key);
-    ASSERT_TRUE(It != B.Races.end()) << "race key missing in sharded run";
-    EXPECT_EQ(Count, It->second);
-  }
-  EXPECT_EQ(A.DynamicRaces, B.DynamicRaces);
-  expectSameStats(A.Stats, B.Stats);
-  EXPECT_EQ(A.EffectiveAccessRate, B.EffectiveAccessRate);
-  EXPECT_EQ(A.EffectiveSyncRate, B.EffectiveSyncRate);
-  EXPECT_EQ(A.LiteRaceEffectiveRate, B.LiteRaceEffectiveRate);
-  EXPECT_EQ(A.Boundaries, B.Boundaries);
-  EXPECT_EQ(A.TraceEvents, B.TraceEvents);
-  EXPECT_EQ(A.FinalMetadataBytes, B.FinalMetadataBytes);
-}
 
 struct NamedSetup {
   const char *Name;
@@ -93,7 +56,9 @@ void expectShardInvariant(const WorkloadSpec &Spec, uint64_t Seed,
   for (const NamedSetup &NS : allSetups()) {
     DetectorSetup Sequential = NS.Setup;
     Sequential.Shards = 1;
-    TrialResult Baseline = runTrial(Workload, Sequential, Seed);
+    AnalysisResult Baseline =
+        AnalysisSession(Workload, {.Setup = Sequential, .Seed = Seed})
+            .analyzeGenerated();
     // Both sharded engines -- full-scan replicas and the TraceIndex walk
     // -- must reproduce the sequential result exactly.
     for (bool UseIndex : {false, true}) {
@@ -101,11 +66,12 @@ void expectShardInvariant(const WorkloadSpec &Spec, uint64_t Seed,
         DetectorSetup Sharded = NS.Setup;
         Sharded.Shards = Shards;
         Sharded.ShardUseIndex = UseIndex;
-        TrialResult Result = runTrial(Workload, Sharded, Seed);
-        SCOPED_TRACE(std::string(NS.Name) + " shards=" +
-                     std::to_string(Shards) +
-                     (UseIndex ? " indexed" : " full-scan"));
-        expectSameResult(Baseline, Result);
+        expectSameAnalysis(
+            Baseline,
+            AnalysisSession(Workload, {.Setup = Sharded, .Seed = Seed})
+                .analyzeGenerated(),
+            std::string(NS.Name) + " shards=" + std::to_string(Shards) +
+                (UseIndex ? " indexed" : " full-scan"));
       }
     }
   }
@@ -133,10 +99,13 @@ TEST(ShardedReplayTest, ShardCountBeyondVariableCountStillIdentical) {
   // nothing but must still replay synchronization identically.
   CompiledWorkload Workload(tinyTestWorkload());
   DetectorSetup Sequential = fastTrackSetup();
-  TrialResult Baseline = runTrial(Workload, Sequential, /*Seed=*/3);
   DetectorSetup Sharded = Sequential;
   Sharded.Shards = 64;
-  expectSameResult(Baseline, runTrial(Workload, Sharded, /*Seed=*/3));
+  expectSameAnalysis(
+      AnalysisSession(Workload, {.Setup = Sequential, .Seed = 3})
+          .analyzeGenerated(),
+      AnalysisSession(Workload, {.Setup = Sharded, .Seed = 3})
+          .analyzeGenerated());
 }
 
 TEST(ShardedReplayTest, ShardJobsInvariance) {
@@ -148,14 +117,20 @@ TEST(ShardedReplayTest, ShardJobsInvariance) {
   Setup.Shards = 4;
 
   Setup.ShardJobs = 1;
-  TrialResult OneJob = runTrial(Workload, Setup, /*Seed=*/21);
+  AnalysisResult OneJob =
+      AnalysisSession(Workload, {.Setup = Setup, .Seed = 21})
+          .analyzeGenerated();
   Setup.ShardJobs = 0; // Auto: one job per shard.
-  TrialResult AutoJobs = runTrial(Workload, Setup, /*Seed=*/21);
+  AnalysisResult AutoJobs =
+      AnalysisSession(Workload, {.Setup = Setup, .Seed = 21})
+          .analyzeGenerated();
   Setup.ShardJobs = 9;
-  TrialResult ManyJobs = runTrial(Workload, Setup, /*Seed=*/21);
+  AnalysisResult ManyJobs =
+      AnalysisSession(Workload, {.Setup = Setup, .Seed = 21})
+          .analyzeGenerated();
 
-  expectSameResult(OneJob, AutoJobs);
-  expectSameResult(OneJob, ManyJobs);
+  expectSameAnalysis(OneJob, AutoJobs, "auto jobs");
+  expectSameAnalysis(OneJob, ManyJobs, "9 jobs");
 }
 
 TEST(ShardedReplayTest, ElidedLocalAccessesShardIdentically) {
@@ -164,9 +139,13 @@ TEST(ShardedReplayTest, ElidedLocalAccessesShardIdentically) {
   CompiledWorkload Workload(mediumTestWorkload());
   DetectorSetup Setup = fastTrackSetup();
   Setup.ElideLocalAccesses = true;
-  TrialResult Baseline = runTrial(Workload, Setup, /*Seed=*/17);
+  AnalysisResult Baseline =
+      AnalysisSession(Workload, {.Setup = Setup, .Seed = 17})
+          .analyzeGenerated();
   Setup.Shards = 4;
-  expectSameResult(Baseline, runTrial(Workload, Setup, /*Seed=*/17));
+  expectSameAnalysis(Baseline,
+                     AnalysisSession(Workload, {.Setup = Setup, .Seed = 17})
+                         .analyzeGenerated());
 }
 
 //===----------------------------------------------------------------------===//
@@ -184,7 +163,7 @@ void expectSameShardedResult(const ShardedReplayResult &A,
     EXPECT_EQ(Count, It->second);
   }
   EXPECT_EQ(A.DynamicRaces, B.DynamicRaces);
-  expectSameStats(A.Stats, B.Stats);
+  EXPECT_TRUE(sameStats(A.Stats, B.Stats));
   EXPECT_EQ(A.FinalMetadataBytes, B.FinalMetadataBytes);
   EXPECT_EQ(A.EffectiveAccessRate, B.EffectiveAccessRate);
   EXPECT_EQ(A.EffectiveSyncRate, B.EffectiveSyncRate);
@@ -271,7 +250,7 @@ void expectOverrideMatchesDefault(const Trace &T, Make MakePair) {
 
   EXPECT_EQ(SinkA.keys(), SinkB.keys());
   EXPECT_EQ(SinkA.size(), SinkB.size());
-  expectSameStats(Overridden->stats(), Defaulted->stats());
+  EXPECT_TRUE(sameStats(Overridden->stats(), Defaulted->stats()));
   EXPECT_EQ(Overridden->liveMetadataBytes(), Defaulted->liveMetadataBytes());
 }
 

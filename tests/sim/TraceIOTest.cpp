@@ -2,7 +2,7 @@
 
 #include "sim/TraceIO.h"
 
-#include "harness/TrialRunner.h"
+#include "runtime/AnalysisSession.h"
 #include "sim/StreamingTraceReader.h"
 #include "sim/TraceGenerator.h"
 #include "sim/TraceView.h"
@@ -432,10 +432,10 @@ TEST(TraceIOTest, ReplayOfParsedTraceFindsSameRaces) {
   TraceParseResult Parsed = parseTrace(serializeTrace(Original));
   ASSERT_TRUE(Parsed.Ok);
 
-  TrialResult Live = runTrialOnTrace(Original, Workload, fastTrackSetup(), 1);
-  TrialResult Offline =
-      runTrialOnTrace(Parsed.T, Workload, fastTrackSetup(), 1);
-  EXPECT_EQ(Live.Races, Offline.Races);
+  const AnalysisSession Session(Workload,
+                                {.Setup = fastTrackSetup(), .Seed = 1});
+  EXPECT_EQ(Session.analyzeTrace(Original).Races,
+            Session.analyzeTrace(Parsed.T).Races);
 }
 
 } // namespace

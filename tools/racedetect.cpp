@@ -237,16 +237,15 @@ FileOutcome analyseFile(const std::string &Path,
     Out.Text += Buf;
     // Phase attribution for the fig7-style overhead breakdown: hot accesses
     // paid full analysis, cold ones took the non-sampling fast path.
-    const uint64_t PhaseTotal = Result.HotAccesses + Result.ColdAccesses;
+    const uint64_t Hot = Result.Stats.hotAccesses();
+    const uint64_t PhaseTotal = Hot + Result.Stats.coldAccesses();
     std::snprintf(Buf, sizeof(Buf),
                   "  hot accesses %llu (%.1f%%), cold accesses %llu\n",
-                  static_cast<unsigned long long>(Result.HotAccesses),
-                  PhaseTotal != 0 ? 100.0 *
-                                        static_cast<double>(
-                                            Result.HotAccesses) /
+                  static_cast<unsigned long long>(Hot),
+                  PhaseTotal != 0 ? 100.0 * static_cast<double>(Hot) /
                                         static_cast<double>(PhaseTotal)
                                   : 0.0,
-                  static_cast<unsigned long long>(Result.ColdAccesses));
+                  static_cast<unsigned long long>(PhaseTotal - Hot));
     Out.Text += Buf;
     // Gather-probe effectiveness: keys the vectorized var-table probe
     // resolved in-block vs. keys that fell back to a scalar walk
