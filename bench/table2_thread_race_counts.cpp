@@ -18,7 +18,7 @@
 
 #include "sim/TraceGenerator.h"
 
-#include "../tests/TestUtil.h"
+#include <algorithm>
 
 using namespace pacer;
 using namespace pacer::bench;
@@ -44,7 +44,7 @@ int main(int Argc, char **Argv) {
     GroundTruth Truth =
         computeGroundTruth(Workload, FullTrials, Options.Seed, Options.Jobs);
     Trace T = generateTrace(Workload, Options.Seed);
-    uint32_t MaxLive = test::maxLiveThreads(T, Workload.totalThreads());
+    uint32_t MaxLive = maxLiveThreads(T);
     Table.addRow({Spec.Name, std::to_string(Workload.totalThreads()),
                   std::to_string(MaxLive),
                   std::to_string(Truth.racesSeenAtLeast(1)),

@@ -60,21 +60,6 @@ void scalarRemapGather(uint32_t *Dst, const uint32_t *Src,
     Dst[I] = Src[Idx[I]];
 }
 
-void scalarProbeTags(const void *Base, const uint32_t *ByteOff,
-                     const uint32_t *Keys, size_t N, uint32_t Empty,
-                     uint64_t *HitMask, uint64_t *EmptyMask) {
-  const char *P = static_cast<const char *>(Base);
-  uint64_t Hits = 0, Empties = 0;
-  for (size_t I = 0; I != N; ++I) {
-    uint32_t Tag;
-    std::memcpy(&Tag, P + ByteOff[I], sizeof(Tag));
-    Hits |= static_cast<uint64_t>(Tag == Keys[I]) << I;
-    Empties |= static_cast<uint64_t>(Tag == Empty) << I;
-  }
-  *HitMask = Hits;
-  *EmptyMask = Empties;
-}
-
 namespace {
 
 constexpr KernelOps ScalarOps = {Isa::Scalar,
@@ -83,8 +68,7 @@ constexpr KernelOps ScalarOps = {Isa::Scalar,
                                  scalarAllLeq,
                                  scalarAllZero,
                                  scalarTrimTrailingZeros,
-                                 scalarRemapGather,
-                                 scalarProbeTags};
+                                 scalarRemapGather};
 
 #if defined(__x86_64__) || defined(_M_X64)
 uint64_t xgetbv0() {
@@ -282,12 +266,6 @@ size_t trimTrailingZeros(const uint32_t *A, size_t N) {
 void remapGather(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
                  size_t N) {
   Active->RemapGather(Dst, Src, Idx, N);
-}
-
-void probeTags(const void *Base, const uint32_t *ByteOff,
-               const uint32_t *Keys, size_t N, uint32_t Empty,
-               uint64_t *HitMask, uint64_t *EmptyMask) {
-  Active->ProbeTags(Base, ByteOff, Keys, N, Empty, HitMask, EmptyMask);
 }
 
 void copyWords(uint32_t *Dst, const uint32_t *Src, size_t N) {

@@ -67,9 +67,6 @@ struct KernelOps {
   size_t (*TrimTrailingZeros)(const uint32_t *A, size_t N);
   void (*RemapGather)(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
                       size_t N);
-  void (*ProbeTags)(const void *Base, const uint32_t *ByteOff,
-                    const uint32_t *Keys, size_t N, uint32_t Empty,
-                    uint64_t *HitMask, uint64_t *EmptyMask);
 };
 
 /// Pointwise maximum of \p B into \p A over \p N components. Returns true
@@ -97,19 +94,6 @@ size_t trimTrailingZeros(const uint32_t *A, size_t N);
 /// have no index constraints.
 void remapGather(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
                  size_t N);
-
-/// Multi-key hash-slot tag probe: gathers the 32-bit tag at each
-/// Base + ByteOff[I] once and reports two masks over the N <= 64 keys --
-/// HitMask bit I set iff the tag equals Keys[I] (slot holds the key),
-/// EmptyMask bit I set iff the tag equals \p Empty (open-addressing probe
-/// terminates: key absent). A key with neither bit set landed on a
-/// collision or tombstone and needs the scalar chain walk. Offsets are
-/// byte offsets (any slot stride works), and each Base + ByteOff[I] must
-/// be readable and < 2 GiB from Base (the gather index is a signed 32-bit
-/// lane). Pure loads + compares, so every ISA path is bit-identical.
-void probeTags(const void *Base, const uint32_t *ByteOff,
-               const uint32_t *Keys, size_t N, uint32_t Empty,
-               uint64_t *HitMask, uint64_t *EmptyMask);
 
 /// Lowercase name of an ISA ("avx512", "avx2", "sse2", "neon",
 /// "scalar").
@@ -158,9 +142,6 @@ bool scalarAllZero(const uint32_t *A, size_t N);
 size_t scalarTrimTrailingZeros(const uint32_t *A, size_t N);
 void scalarRemapGather(uint32_t *Dst, const uint32_t *Src,
                        const uint32_t *Idx, size_t N);
-void scalarProbeTags(const void *Base, const uint32_t *ByteOff,
-                     const uint32_t *Keys, size_t N, uint32_t Empty,
-                     uint64_t *HitMask, uint64_t *EmptyMask);
 
 } // namespace pacer::kernels
 

@@ -45,7 +45,6 @@
 #ifndef PACER_CORE_FLATVARTABLE_H
 #define PACER_CORE_FLATVARTABLE_H
 
-#include "core/ClockKernels.h"
 #include "core/Ids.h"
 #include "support/Arena.h"
 
@@ -108,88 +107,9 @@ public:
     return Overflow && findSlot(Key);
   }
 
-  /// Hints the cache to pull in the first probe line for \p Key. A
-  /// find(Key) issued a few probes later then usually resolves without a
-  /// memory stall; the PACER hot batch kernel issues these while staging
-  /// the next block of accesses. Probe chains longer than one line still
-  /// pay for their tail -- the hint covers the common single-line case.
-  void prefetch(KeyT Key) const {
-    if (!Slots)
-      return;
-    const char *P = reinterpret_cast<const char *>(&Slots[slotFor(Key)]);
-    __builtin_prefetch(P);
-    // Pull the slot's tail line too when the entry straddles a cache-line
-    // boundary; otherwise the analysis that follows the probe still
-    // stalls on the second half of the value.
-    if ((reinterpret_cast<uintptr_t>(P) & 63) + sizeof(Slot) > 64)
-      __builtin_prefetch(P + sizeof(Slot) - 1);
-  }
   const ValueT *find(KeyT Key) const {
     return const_cast<FlatVarTable *>(this)->find(Key);
   }
-
-  /// Multi-key lookup: fills Out[I] with the value stored under Keys[I]
-  /// or null, for N <= 64 keys in one call. With 32-bit keys the first
-  /// probe slot of every key is examined through the dispatched
-  /// kernels::probeTags gather (one vpgatherdd per 8-16 keys on AVX2 /
-  /// AVX-512) -- a first-slot key match or empty sentinel resolves that
-  /// key without touching memory again, and only keys landing on a
-  /// collision or tombstone chain walk the scalar probe. Returns how many
-  /// keys the vector probe resolved (the probe-hit tally; N minus it is
-  /// the scalar-fallback tally). Duplicate keys are fine (lookups do not
-  /// mutate); the returned pointers obey the same rule as find(): the
-  /// next insertion or erase may invalidate them, observable via
-  /// rehashEpoch().
-  size_t findBlock(const KeyT *Keys, size_t N, ValueT **Out) {
-    assert(N <= 64 && "probe block wider than the kernel masks");
-    if (Live == 0) {
-      for (size_t I = 0; I != N; ++I)
-        Out[I] = nullptr;
-      return N;
-    }
-    if constexpr (sizeof(KeyT) == sizeof(uint32_t)) {
-      // The gather lanes are signed-32 byte offsets, so very large tables
-      // (and non-32-bit keys below) take the plain scalar path.
-      if (heapBytes() <= static_cast<size_t>(INT32_MAX)) {
-        uint32_t ByteOff[64];
-        uint32_t Tags[64];
-        for (size_t I = 0; I != N; ++I) {
-          ByteOff[I] = static_cast<uint32_t>(slotFor(Keys[I]) * sizeof(Slot));
-          Tags[I] = static_cast<uint32_t>(Keys[I]);
-        }
-        uint64_t HitMask = 0, EmptyMask = 0;
-        kernels::probeTags(Slots, ByteOff, Tags, N,
-                           static_cast<uint32_t>(EmptyKey), &HitMask,
-                           &EmptyMask);
-        size_t Resolved = 0;
-        for (size_t I = 0; I != N; ++I) {
-          const uint64_t Bit = static_cast<uint64_t>(1) << I;
-          if (HitMask & Bit) {
-            auto *S = reinterpret_cast<Slot *>(
-                reinterpret_cast<char *>(Slots) + ByteOff[I]);
-            Out[I] = &S->Value;
-            ++Resolved;
-          } else if (EmptyMask & Bit) {
-            Out[I] = nullptr;
-            ++Resolved;
-          } else {
-            Slot *S = findSlot(Keys[I]);
-            Out[I] = S ? &S->Value : nullptr;
-          }
-        }
-        return Resolved;
-      }
-    }
-    for (size_t I = 0; I != N; ++I)
-      Out[I] = find(Keys[I]);
-    return 0;
-  }
-
-  /// Monotone counter bumped every time the slot array is reallocated
-  /// (grow or shrink). Pointers handed out by find()/findBlock() stay
-  /// valid exactly while this is unchanged, so batched callers can
-  /// capture it once and revalidate per entry instead of re-probing.
-  size_t rehashEpoch() const { return RehashCount; }
 
   /// Returns the value under \p Key, default-constructing it if absent.
   /// May rehash; any previously returned pointer is invalidated.
@@ -296,8 +216,8 @@ private:
   /// taken from the TOP bits of the product: shifting by
   /// 64 - log2(Capacity) makes dense sequential ids walk the table as a
   /// golden-ratio Weyl sequence, whose points are spread as evenly as the
-  /// occupancy allows (nearly every key sits in its home slot, which the
-  /// findBlock first-slot gather screen depends on). Masking low bits of
+  /// occupancy allows (nearly every key sits in its home slot, so most
+  /// probes read one slot). Masking low bits of
   /// the product instead yields a Weyl step with poor continued-fraction
   /// structure at larger capacities -- home slots caravan into multi-slot
   /// clusters and most probes chain. (For 64-bit keys the multiply wraps;
@@ -391,7 +311,6 @@ private:
   /// Reallocates to a capacity sized for the live count (shedding
   /// tombstones) and reinserts every live entry.
   void rehash() {
-    ++RehashCount;
     size_t NewCapacity = MinCapacity;
     while (NewCapacity * 3 < (Live + 1) * 8) // Target load <= 3/8.
       NewCapacity *= 2;
@@ -425,7 +344,6 @@ private:
   size_t Live = 0;       ///< Entries holding a value.
   size_t Used = 0;       ///< Live + tombstones (probe-chain occupancy).
   size_t Tombstones = 0;
-  size_t RehashCount = 0; ///< Slot-array reallocations (pointer epochs).
   uint64_t *Bitmap = nullptr; ///< One presence bit per key < BitmapKeys.
   size_t BitmapKeys = 0;      ///< Keys the bitmap covers (64 per word).
   bool Overflow = false;      ///< A key >= BitmapKeyCap went in since clear().

@@ -13,31 +13,6 @@ size_t ReadMap::size() const {
   return E.isNone() ? 0 : 1;
 }
 
-Epoch ReadMap::epoch() const {
-  assert(isEpoch() && "not in epoch state");
-  return E;
-}
-
-SiteId ReadMap::epochSite() const {
-  assert(isEpoch() && "not in epoch state");
-  return ESite;
-}
-
-void ReadMap::clear() {
-  E = Epoch::none();
-  ESite = InvalidId;
-  Arena::freeBlock(Entries);
-  release();
-}
-
-void ReadMap::setEpoch(Epoch NewEpoch, SiteId Site) {
-  assert(!NewEpoch.isNone() && "setting a null epoch; use clear()");
-  E = NewEpoch;
-  ESite = Site;
-  Arena::freeBlock(Entries);
-  release();
-}
-
 void ReadMap::growEntries() {
   const uint32_t NewCap = Cap ? Cap * 2 : 2;
   auto *NewEntries =
@@ -115,14 +90,11 @@ void ReadMap::remapThreads(const uint32_t *OldToNew) {
     E = Epoch::make(E.clockValue(), OldToNew[E.tid()]);
 }
 
-bool ReadMap::leqClock(const VectorClock &C) const {
-  if (Entries) {
-    for (uint32_t I = 0; I != Num; ++I)
-      if (Entries[I].Clock > C.get(Entries[I].Tid))
-        return false;
-    return true;
-  }
-  return E.precedes(C); // Null epoch (0@0) precedes everything.
+bool ReadMap::mapLeqClock(const VectorClock &C) const {
+  for (uint32_t I = 0; I != Num; ++I)
+    if (Entries[I].Clock > C.get(Entries[I].Tid))
+      return false;
+  return true;
 }
 
 size_t ReadMap::heapBytes() const {

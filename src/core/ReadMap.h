@@ -37,6 +37,7 @@
 #include "core/VectorClock.h"
 #include "support/Arena.h"
 
+#include <cassert>
 #include <cstdint>
 
 namespace pacer {
@@ -89,18 +90,42 @@ public:
   /// legitimately have size 0 or 1 after PACER discards entries.
   size_t size() const;
 
+  // The epoch-state operations below run on nearly every access the
+  // detectors analyse, so they are inline; map-state work is out of line.
+
   /// The epoch; only valid in the Epoch state.
-  Epoch epoch() const;
+  Epoch epoch() const {
+    assert(isEpoch() && "not in epoch state");
+    return E;
+  }
 
   /// The site recorded with the epoch; only valid in the Epoch state.
-  SiteId epochSite() const;
+  SiteId epochSite() const {
+    assert(isEpoch() && "not in epoch state");
+    return ESite;
+  }
 
   /// Discards all information (PACER's null assignment).
-  void clear();
+  void clear() {
+    E = Epoch::none();
+    ESite = InvalidId;
+    if (Entries) {
+      Arena::freeBlock(Entries);
+      release();
+    }
+  }
 
   /// Replaces the metadata with the single epoch \p NewEpoch (FastTrack's
   /// "overwrite read map" arm). Drops any map storage.
-  void setEpoch(Epoch NewEpoch, SiteId Site);
+  void setEpoch(Epoch NewEpoch, SiteId Site) {
+    assert(!NewEpoch.isNone() && "setting a null epoch; use clear()");
+    E = NewEpoch;
+    ESite = Site;
+    if (Entries) {
+      Arena::freeBlock(Entries);
+      release();
+    }
+  }
 
   /// Converts the current epoch into map state ("Share", Table 4 Rule 4)
   /// and then records \p Tid's read. Must currently be in Epoch state.
@@ -129,7 +154,11 @@ public:
 
   /// True iff every recorded read precedes \p C (R <= C). Null is vacuously
   /// true. O(|R|).
-  bool leqClock(const VectorClock &C) const;
+  bool leqClock(const VectorClock &C) const {
+    if (Entries)
+      return mapLeqClock(C);
+    return E.precedes(C); // Null epoch (0@0) precedes everything.
+  }
 
   /// Invokes \p Fn(const ReadEntry &) for every recorded read that does
   /// NOT precede \p C, i.e. every read that races with a write at \p C.
@@ -161,6 +190,9 @@ public:
 
 private:
   ReadEntry *findEntry(ThreadId Tid);
+
+  /// leqClock() in Map state.
+  bool mapLeqClock(const VectorClock &C) const;
 
   /// Doubles the entry array's capacity (arena block swap).
   void growEntries();

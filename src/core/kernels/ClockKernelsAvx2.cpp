@@ -86,53 +86,13 @@ void avx2RemapGather(uint32_t *Dst, const uint32_t *Src, const uint32_t *Idx,
   scalarRemapGather(Dst + I, Src, Idx + I, N - I);
 }
 
-// Byte-offset gathers for the multi-key hot-path probe: scale 1 with the
-// caller's precomputed byte offsets, so hash-table Slot structs at any
-// stride gather in one vpgatherdd.
-inline __m256i gather32(const void *Base, const uint32_t *ByteOff) {
-  __m256i Off =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i *>(ByteOff));
-  return _mm256_i32gather_epi32(static_cast<const int *>(Base), Off,
-                                /*Scale=*/1);
-}
-
-inline uint64_t laneMask8(__m256i Eq) {
-  return static_cast<uint64_t>(static_cast<uint8_t>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(Eq))));
-}
-
-void avx2ProbeTags(const void *Base, const uint32_t *ByteOff,
-                   const uint32_t *Keys, size_t N, uint32_t Empty,
-                   uint64_t *HitMask, uint64_t *EmptyMask) {
-  size_t I = 0;
-  uint64_t Hits = 0, Empties = 0;
-  const __m256i VEmpty = _mm256_set1_epi32(static_cast<int>(Empty));
-  for (; I + 8 <= N; I += 8) {
-    __m256i Tags = gather32(Base, ByteOff + I);
-    __m256i K =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Keys + I));
-    Hits |= laneMask8(_mm256_cmpeq_epi32(Tags, K)) << I;
-    Empties |= laneMask8(_mm256_cmpeq_epi32(Tags, VEmpty)) << I;
-  }
-  if (I != N) { // A shift by a full 64 would be UB, so gate the tail merge.
-    uint64_t TailHits = 0, TailEmpties = 0;
-    scalarProbeTags(Base, ByteOff + I, Keys + I, N - I, Empty, &TailHits,
-                    &TailEmpties);
-    Hits |= TailHits << I;
-    Empties |= TailEmpties << I;
-  }
-  *HitMask = Hits;
-  *EmptyMask = Empties;
-}
-
 constexpr KernelOps Avx2Ops = {Isa::Avx2,
                                "avx2",
                                avx2JoinMax,
                                avx2AllLeq,
                                avx2AllZero,
                                avx2TrimTrailingZeros,
-                               avx2RemapGather,
-                               avx2ProbeTags};
+                               avx2RemapGather};
 
 } // namespace
 

@@ -88,42 +88,13 @@ void avx512RemapGather(uint32_t *Dst, const uint32_t *Src,
   scalarRemapGather(Dst + I, Src, Idx + I, N - I);
 }
 
-// Byte-offset gathers for the multi-key hot-path probe: scale 1 with the
-// caller's precomputed byte offsets, 16 slots per vpgatherdd, hit masks
-// straight out of the opmask compares.
-void avx512ProbeTags(const void *Base, const uint32_t *ByteOff,
-                     const uint32_t *Keys, size_t N, uint32_t Empty,
-                     uint64_t *HitMask, uint64_t *EmptyMask) {
-  size_t I = 0;
-  uint64_t Hits = 0, Empties = 0;
-  const __m512i VEmpty = _mm512_set1_epi32(static_cast<int>(Empty));
-  for (; I + 16 <= N; I += 16) {
-    __m512i Off = _mm512_loadu_si512(ByteOff + I);
-    __m512i Tags = _mm512_i32gather_epi32(Off, Base, /*Scale=*/1);
-    __m512i K = _mm512_loadu_si512(Keys + I);
-    Hits |= static_cast<uint64_t>(_mm512_cmpeq_epu32_mask(Tags, K)) << I;
-    Empties |= static_cast<uint64_t>(_mm512_cmpeq_epu32_mask(Tags, VEmpty))
-               << I;
-  }
-  if (I != N) { // A shift by a full 64 would be UB, so gate the tail merge.
-    uint64_t TailHits = 0, TailEmpties = 0;
-    scalarProbeTags(Base, ByteOff + I, Keys + I, N - I, Empty, &TailHits,
-                    &TailEmpties);
-    Hits |= TailHits << I;
-    Empties |= TailEmpties << I;
-  }
-  *HitMask = Hits;
-  *EmptyMask = Empties;
-}
-
 constexpr KernelOps Avx512Ops = {Isa::Avx512,
                                  "avx512",
                                  avx512JoinMax,
                                  avx512AllLeq,
                                  avx512AllZero,
                                  avx512TrimTrailingZeros,
-                                 avx512RemapGather,
-                                 avx512ProbeTags};
+                                 avx512RemapGather};
 
 } // namespace
 

@@ -58,16 +58,14 @@ size_t neonTrimTrailingZeros(const uint32_t *A, size_t N) {
   return scalarTrimTrailingZeros(A, N);
 }
 
-// NEON has no gather instruction; the scalar gather-family bodies are the
-// fast path for RemapGather and ProbeTags alike.
+// NEON has no gather instruction; the scalar remap gather is the fast path.
 constexpr KernelOps NeonOps = {Isa::Neon,
                                "neon",
                                neonJoinMax,
                                neonAllLeq,
                                neonAllZero,
                                neonTrimTrailingZeros,
-                               scalarRemapGather,
-                               scalarProbeTags};
+                               scalarRemapGather};
 
 } // namespace
 

@@ -69,16 +69,14 @@ size_t sse2TrimTrailingZeros(const uint32_t *A, size_t N) {
   return scalarTrimTrailingZeros(A, N);
 }
 
-// SSE2 has no gather instruction; the scalar gather-family bodies are the
-// fast path for RemapGather and ProbeTags alike.
+// SSE2 has no gather instruction; the scalar remap gather is the fast path.
 constexpr KernelOps Sse2Ops = {Isa::Sse2,
                                "sse2",
                                sse2JoinMax,
                                sse2AllLeq,
                                sse2AllZero,
                                sse2TrimTrailingZeros,
-                               scalarRemapGather,
-                               scalarProbeTags};
+                               scalarRemapGather};
 
 } // namespace
 

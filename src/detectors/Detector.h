@@ -262,14 +262,13 @@ public:
   /// Operation counters.
   const DetectorStats &stats() const { return Stats; }
 
-  /// Diagnostic tallies for the vectorized multi-key var-table probe.
-  /// Deliberately *not* part of DetectorStats: tests memcmp DetectorStats
-  /// against the per-access reference loop, which never probes at all --
-  /// these counters describe how the answer was computed, not what it
-  /// was.
+  /// Tallies of a var-table gather probe that no detector runs any more:
+  /// they always read zero. They stay only because the end-to-end
+  /// benchmark (e2ebench/) compiles against them, and go when it next
+  /// changes.
   struct ProbeCounters {
-    uint64_t VectorResolved = 0; ///< Keys the gather probe resolved.
-    uint64_t ScalarFallback = 0; ///< Keys that walked the scalar chain.
+    uint64_t VectorResolved = 0; ///< Always zero.
+    uint64_t ScalarFallback = 0; ///< Always zero.
   };
   const ProbeCounters &probeCounters() const { return Probe; }
   void addProbeCounters(const ProbeCounters &Other) {

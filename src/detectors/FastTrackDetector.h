@@ -142,11 +142,14 @@ private:
                        AccessKind Kind, SiteId Site);
 
   /// Algorithm 7/8 bodies with the thread clock and epoch precomputed;
-  /// read()/write() and accessBatch() share them.
-  void readWith(const VectorClock &Clock, Epoch Current, ThreadId Tid,
-                VarId Var, SiteId Site);
-  void writeWith(const VectorClock &Clock, Epoch Current, ThreadId Tid,
-                 VarId Var, SiteId Site);
+  /// read()/write() and accessBatch() share them, and they are always
+  /// inlined into both, so a same-epoch access costs no call.
+  [[gnu::always_inline]] inline void readWith(const VectorClock &Clock,
+                                              Epoch Current, ThreadId Tid,
+                                              VarId Var, SiteId Site);
+  [[gnu::always_inline]] inline void writeWith(const VectorClock &Clock,
+                                               Epoch Current, ThreadId Tid,
+                                               VarId Var, SiteId Site);
 
   /// Backs the per-variable table and its read-map/clock blocks. MUST
   /// stay the first data member: the later members free their blocks back

@@ -737,109 +737,34 @@ void PacerDetector::coldAccessBatch(std::span<const Action> Batch,
 
 void PacerDetector::hotAccessBatch(std::span<const Action> Batch,
                                    const AccessShard &Shard) {
-  // Sampling-phase kernel: resolve each block's table entries with one
-  // gather probe (FlatVarTable::findBlock), then run the unchanged
-  // sampling analysis against the pre-resolved pointers. Staleness is
-  // contained by construction: sampling analysis never erases entries, a
-  // stale null re-resolves through getOrInsert (which returns the
-  // existing entry), and a rehash inside a block -- the only operation
-  // that moves entries -- is detected through rehashEpoch() and the rest
-  // of the block re-probed live.
-  // Matches the kernel's 64-lane cap: wider blocks amortize the per-block
-  // fixed costs (probe call, rehash-epoch check, stats update) and measure
-  // faster end-to-end than narrower ones, even though some prefetches of a
-  // 64-lane stage exceed the core's outstanding-miss buffers.
-  constexpr size_t BlockSize = 64;
-  struct StagedBlock {
-    VarId Keys[BlockSize];
-    ThreadId Tids[BlockSize];
-    SiteId Sites[BlockSize];
-    uint8_t IsWrite[BlockSize];
-    size_t Count = 0;
-    size_t Writes = 0;
-  };
-  // Double-buffered so block B+1 stages -- and issues its table
-  // prefetches -- before block B's analysis runs: the prefetched lines
-  // then have a whole analysis phase to arrive instead of the handful of
-  // cycles between a combined stage-and-probe. Random reads over a
-  // DRAM-resident table are the difference between stalling the gather on
-  // every line and finding them resident. (A rehash during B's analysis
-  // orphans the early prefetches; findBlock recomputes its offsets from
-  // the live array, so that costs only the lost warmth.)
-  StagedBlock Blocks[2];
-  VarState *Found[BlockSize];
-
   // Slot/clock/epoch resolution hoisted to thread switches: accesses
   // never mutate thread clocks, and no synchronization action or first
   // sight occurs inside a batch, so the references stay valid across the
   // whole run (accordion is routed away, so tids are already slots).
+  // Re-fetch on every switch: ensureThread may resize the thread table.
   ThreadId CurTid = InvalidId;
   const VectorClock *Clock = nullptr;
   Epoch Current = Epoch::none();
-
-  const size_t N = Batch.size();
-  auto Stage = [&](size_t Begin, StagedBlock &B) {
-    const size_t End = Begin + BlockSize < N ? Begin + BlockSize : N;
-    B.Count = 0;
-    B.Writes = 0;
-    for (size_t I = Begin; I < End; ++I) {
-      const Action &A = Batch[I];
-      if (!Shard.owns(A.Target))
-        continue;
-      B.Keys[B.Count] = A.Target;
-      B.Tids[B.Count] = A.Tid;
-      B.Sites[B.Count] = A.Site;
-      const uint8_t W = A.Kind != ActionKind::Read;
-      B.IsWrite[B.Count] = W;
-      B.Writes += W;
-      ++B.Count;
-      Vars.prefetch(A.Target);
+  uint64_t Reads = 0, Writes = 0;
+  for (const Action &A : Batch) {
+    if (!Shard.owns(A.Target))
+      continue;
+    if (A.Tid != CurTid) {
+      CurTid = A.Tid;
+      Clock = &ensureThread(CurTid).Clock.clock();
+      Current = Epoch::make(Clock->get(CurTid), CurTid);
     }
-  };
-
-  unsigned Cur = 0;
-  if (N != 0)
-    Stage(0, Blocks[0]);
-  for (size_t Begin = 0; Begin < N; Begin += BlockSize, Cur ^= 1) {
-    const StagedBlock &B = Blocks[Cur];
-    size_t Resolved = 0;
-    if (B.Count != 0) {
-      Resolved = Vars.findBlock(B.Keys, B.Count, Found);
-      Probe.VectorResolved += Resolved;
-      Probe.ScalarFallback += B.Count - Resolved;
-    }
-    const size_t ProbeEpoch = Vars.rehashEpoch();
-    if (Begin + BlockSize < N)
-      Stage(Begin + BlockSize, Blocks[Cur ^ 1]);
-    // Slow-path instrumentation tallies batched per block (the screens
-    // below are part of the slow path, so every staged access counts).
-    Stats.WriteSlowSampling += B.Writes;
-    Stats.ReadSlowSampling += B.Count - B.Writes;
-    for (size_t J = 0; J < B.Count; ++J) {
-      if (B.Tids[J] != CurTid) {
-        CurTid = B.Tids[J];
-        Clock = &ensureThread(CurTid).Clock.clock();
-        Current = Epoch::make(Clock->get(CurTid), CurTid);
-      }
-      // An insertion earlier in the block may have grown the table; the
-      // staged pointers die with it, so re-probe live from then on.
-      VarState *F = Vars.rehashEpoch() == ProbeEpoch ? Found[J]
-                                                     : Vars.find(B.Keys[J]);
-      if (B.IsWrite[J]) {
-        // Rule 5 same-epoch screen inline: the overwhelmingly common
-        // repeated-write shape never leaves this loop. A stale-null F
-        // falls through and re-resolves inside writeSampling.
-        if (F && F->W == Current)
-          continue;
-        writeSampling(CurTid, *Clock, Current, B.Keys[J], B.Sites[J], F);
-      } else {
-        // Rule 1 same-epoch screen inline, mirroring the write screen.
-        if (F && F->R.isEpoch() && F->R.epoch() == Current)
-          continue;
-        readSampling(CurTid, *Clock, Current, B.Keys[J], B.Sites[J], F);
-      }
+    VarState *Found = Vars.find(A.Target);
+    if (A.Kind == ActionKind::Read) {
+      ++Reads;
+      readSampling(CurTid, *Clock, Current, A.Target, A.Site, Found);
+    } else {
+      ++Writes;
+      writeSampling(CurTid, *Clock, Current, A.Target, A.Site, Found);
     }
   }
+  Stats.ReadSlowSampling += Reads;
+  Stats.WriteSlowSampling += Writes;
 }
 
 size_t PacerDetector::accessMetadataBytes() const {

@@ -277,28 +277,35 @@ private:
   void coldAccessBatch(std::span<const Action> Batch,
                        const AccessShard &Shard);
 
-  /// The sampling-phase hot kernel: stages 64-wide blocks and resolves
-  /// their var-table entries with one gather-probe findBlock per block
-  /// before running the unchanged sampling analysis on each access.
+  /// The sampling-phase hot kernel: FastTrack's loop shape. The thread's
+  /// clock and epoch are resolved at thread switches, each owned access
+  /// does one var-table find and runs the sampling analysis inline, and
+  /// the slow-path tallies are kept in locals. Bit-identical to the
+  /// per-access loop.
   void hotAccessBatch(std::span<const Action> Batch,
                       const AccessShard &Shard);
 
   /// read()/write() bodies after the arena scope, slot mapping, and table
-  /// probe: \p Found is the live result of Vars.find(Var) (or a
-  /// findBlock-resolved pointer that is still valid or provably
-  /// re-resolvable). Shared by the per-access path and the hot kernel.
+  /// probe: \p Found is the live result of Vars.find(Var).
   void readImpl(ThreadId Tid, VarId Var, SiteId Site, VarState *Found);
   void writeImpl(ThreadId Tid, VarId Var, SiteId Site, VarState *Found);
 
   /// Sampling-period analysis bodies with the thread resolution hoisted
   /// out: \p Clock and \p Current are the accessing thread's clock and
-  /// epoch (invariant across a batch run), \p Found the pre-probed table
-  /// entry (null re-resolves through getOrInsert). Shared by the
-  /// per-access path and the hot batch kernel.
-  void readSampling(ThreadId Tid, const VectorClock &Clock, Epoch Current,
-                    VarId Var, SiteId Site, VarState *Found);
-  void writeSampling(ThreadId Tid, const VectorClock &Clock, Epoch Current,
-                     VarId Var, SiteId Site, VarState *Found);
+  /// epoch (invariant across a batch run), \p Found the live result of
+  /// Vars.find(Var) (null inserts through getOrInsert). Shared by the
+  /// per-access path and the hot batch kernel, and always inlined into
+  /// both, so a same-epoch access costs no call.
+  [[gnu::always_inline]] inline void readSampling(ThreadId Tid,
+                                                  const VectorClock &Clock,
+                                                  Epoch Current, VarId Var,
+                                                  SiteId Site,
+                                                  VarState *Found);
+  [[gnu::always_inline]] inline void writeSampling(ThreadId Tid,
+                                                   const VectorClock &Clock,
+                                                   Epoch Current, VarId Var,
+                                                   SiteId Site,
+                                                   VarState *Found);
 
   void reportPriorWriteRace(const VarState &State, VarId Var, ThreadId Tid,
                             AccessKind Kind, SiteId Site);

@@ -189,8 +189,6 @@ public:
     Out.Races = Log.counts();
     Out.DynamicRaces = Log.dynamicCount();
     Out.Stats = D->stats();
-    Out.ProbeVectorResolved = D->probeCounters().VectorResolved;
-    Out.ProbeScalarFallback = D->probeCounters().ScalarFallback;
     if (Controller) {
       Out.EffectiveAccessRate = Controller->effectiveAccessRate();
       Out.EffectiveSyncRate = Controller->effectiveSyncRate();
@@ -269,8 +267,6 @@ void replaySpan(const CompiledWorkload &Workload,
   Out.Races = std::move(Sharded.Races);
   Out.DynamicRaces = Sharded.DynamicRaces;
   Out.Stats = Sharded.Stats;
-  Out.ProbeVectorResolved = Sharded.Probe.VectorResolved;
-  Out.ProbeScalarFallback = Sharded.Probe.ScalarFallback;
   Out.EffectiveAccessRate = Sharded.EffectiveAccessRate;
   Out.EffectiveSyncRate = Sharded.EffectiveSyncRate;
   Out.Boundaries = Sharded.Boundaries;

@@ -171,14 +171,6 @@ struct AnalysisResult {
   /// Without recycling this is the number of threads ever started; with
   /// it, the live-thread high-water mark between compactions.
   size_t PeakSlotCount = 0;
-  /// Gather-probe split of PACER's sampling-phase batch
-  /// (Detector::probeCounters, summed across shard replicas): staged keys
-  /// the vector probe resolved vs. keys that fell back to the scalar
-  /// chain walk. Diagnostics only -- deliberately outside DetectorStats,
-  /// which tests compare bit-for-bit against the per-access reference
-  /// loop, which never probes.
-  uint64_t ProbeVectorResolved = 0;
-  uint64_t ProbeScalarFallback = 0;
   /// Up to 32 full reports (RaceLog's cap). Under sharded replay the set
   /// matches sequential replay but the cross-shard order does not; sort
   /// before printing for order-independent output.

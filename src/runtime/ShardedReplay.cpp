@@ -25,7 +25,6 @@ struct ReplicaOutcome {
   double EffectiveAccessRate = 0.0;
   double EffectiveSyncRate = 0.0;
   uint64_t Boundaries = 0;
-  Detector::ProbeCounters Probe;
 };
 
 /// Adds the counters owned by the access path -- the only counters a
@@ -82,7 +81,6 @@ ShardedReplayResult pacer::shardedReplay(TraceSpan T,
           RT.replay(T, AccessShard(static_cast<uint32_t>(Shard), Shards));
         }
         Out->Stats = D->stats();
-        Out->Probe = D->probeCounters();
         Out->LiveBytes = D->liveMetadataBytes();
         Out->AccessBytes = D->accessMetadataBytes();
         Out->PeakSlots = D->peakSlotCount();
@@ -109,8 +107,6 @@ ShardedReplayResult pacer::shardedReplay(TraceSpan T,
       addAccessSideStats(Result.Stats, Out.Stats);
       Result.FinalMetadataBytes += Out.AccessBytes;
     }
-    Result.Probe.VectorResolved += Out.Probe.VectorResolved;
-    Result.Probe.ScalarFallback += Out.Probe.ScalarFallback;
     Result.DynamicRaces += Out.Log.dynamicCount();
     for (const auto &[Key, Count] : Out.Log.counts())
       Result.Races[Key] += Count;

@@ -115,8 +115,8 @@ struct ShardedReplayResult {
   /// (the per-report set matches sequential replay; the order of reports
   /// from different shards does not).
   std::vector<RaceReport> SampleReports;
-  /// Gather-probe diagnostics summed across every replica (probing is
-  /// access-side work; each replica probes only its owned accesses).
+  /// Always zero (see Detector::ProbeCounters); kept for the end-to-end
+  /// benchmark, which reads it.
   Detector::ProbeCounters Probe;
 };
 

@@ -6,6 +6,8 @@
 #include "sim/ScriptBuilder.h"
 #include "support/Rng.h"
 
+#include <algorithm>
+
 using namespace pacer;
 
 Trace pacer::generateTrace(const CompiledWorkload &Workload,
@@ -50,4 +52,18 @@ TraceProfile pacer::profileTrace(TraceSpan T) {
     }
   }
   return Profile;
+}
+
+uint32_t pacer::maxLiveThreads(TraceSpan T) {
+  uint32_t Live = 1; // Main.
+  uint32_t Max = 1;
+  for (const Action &A : T) {
+    if (A.Kind == ActionKind::Fork) {
+      ++Live;
+      Max = std::max(Max, Live);
+    } else if (A.Kind == ActionKind::ThreadExit) {
+      --Live;
+    }
+  }
+  return Max;
 }

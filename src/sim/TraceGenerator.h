@@ -46,6 +46,10 @@ struct TraceProfile {
 /// Profiles \p T.
 TraceProfile profileTrace(TraceSpan T);
 
+/// Maximum number of simultaneously live threads over \p T, counting the
+/// main thread (the paper's Table 2 "max live" column).
+uint32_t maxLiveThreads(TraceSpan T);
+
 } // namespace pacer
 
 #endif // PACER_SIM_TRACEGENERATOR_H

@@ -146,8 +146,8 @@ inline std::vector<std::string> sortedReports(const AnalysisResult &R) {
 /// races and dynamic counts, DetectorStats, the three rates, boundaries,
 /// trace events, final metadata bytes and peak slot count, plus the
 /// sorted sample reports when both ran at one shard count (sharded replay
-/// caps reports per replica). Probe counters are diagnostics that change
-/// with chunking, and timings change with everything; neither is compared.
+/// caps reports per replica). Timings change with everything and are not
+/// compared.
 inline void expectSameAnalysis(const AnalysisResult &A,
                                const AnalysisResult &B,
                                const std::string &What = "") {
@@ -222,22 +222,6 @@ inline std::string validateTrace(const Trace &T, uint32_t TotalThreads) {
     if (ThreadState[Tid] != 2)
       return "thread never finished: " + std::to_string(Tid);
   return "";
-}
-
-/// Maximum number of simultaneously live threads over the trace.
-inline uint32_t maxLiveThreads(const Trace &T, uint32_t TotalThreads) {
-  uint32_t Live = 1; // Main.
-  uint32_t Max = 1;
-  for (const Action &A : T) {
-    if (A.Kind == ActionKind::Fork) {
-      ++Live;
-      Max = std::max(Max, Live);
-    } else if (A.Kind == ActionKind::ThreadExit) {
-      --Live;
-    }
-  }
-  (void)TotalThreads;
-  return Max;
 }
 
 } // namespace pacer::test

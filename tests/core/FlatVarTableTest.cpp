@@ -263,12 +263,11 @@ TEST(FlatVarTableTest, MatchesReferenceMapUnderChurn) {
 namespace {
 
 /// Drives a FlatVarTable through a random insert/erase schedule and
-/// cross-checks findBlock and contains() against per-key find() after
-/// every mutation burst. Small key universes produce dense tables rich in
-/// collision chains; heavy erasure produces tombstone chains the gather's
-/// first-slot screen cannot resolve (forcing the scalar fallback).
-void differentialFindBlockCheck(uint32_t KeyUniverse, double EraseProb,
-                                uint64_t Seed) {
+/// cross-checks contains() against find() after every mutation burst.
+/// Small key universes produce dense tables rich in collision chains;
+/// heavy erasure produces tombstone chains and shrink/grow rehashes.
+void differentialContainsCheck(uint32_t KeyUniverse, double EraseProb,
+                               uint64_t Seed) {
   FlatVarTable<uint64_t> Table;
   std::mt19937_64 Rng(Seed);
   std::uniform_int_distribution<uint32_t> KeyDist(0, KeyUniverse - 1);
@@ -283,23 +282,16 @@ void differentialFindBlockCheck(uint32_t KeyUniverse, double EraseProb,
         Table.getOrInsert(Key) = (static_cast<uint64_t>(Key) << 16) | Round;
     }
 
-    uint32_t Keys[64];
-    uint64_t *Got[64];
     std::uniform_int_distribution<size_t> WidthDist(1, 64);
     const size_t N = WidthDist(Rng);
-    for (size_t I = 0; I != N; ++I)
-      Keys[I] = KeyDist(Rng); // Duplicates and absent keys included.
-
-    const size_t Resolved = Table.findBlock(Keys, N, Got);
-    EXPECT_LE(Resolved, N);
     for (size_t I = 0; I != N; ++I) {
-      uint64_t *Want = Table.find(Keys[I]);
-      EXPECT_EQ(Got[I], Want)
+      const uint32_t Key = KeyDist(Rng); // Repeated and absent keys too.
+      const uint64_t *Found = Table.find(Key);
+      EXPECT_EQ(Table.contains(Key), Found != nullptr)
           << "universe " << KeyUniverse << " round " << Round << " key "
-          << Keys[I];
-      EXPECT_EQ(Table.contains(Keys[I]), Want != nullptr) << Keys[I];
-      if (Want) {
-        EXPECT_EQ(*Got[I], *Want);
+          << Key;
+      if (Found) {
+        EXPECT_EQ(*Found >> 16, Key);
       }
     }
   }
@@ -307,14 +299,14 @@ void differentialFindBlockCheck(uint32_t KeyUniverse, double EraseProb,
 
 } // namespace
 
-TEST(FlatVarTableTest, FindBlockMatchesScalarFindSparse) {
-  // Large universe: mostly misses, resolved by the empty-lane screen.
-  differentialFindBlockCheck(/*KeyUniverse=*/1 << 20, /*EraseProb=*/0.2, 61);
+TEST(FlatVarTableTest, ContainsMatchesFindSparse) {
+  // Large universe: mostly misses.
+  differentialContainsCheck(/*KeyUniverse=*/1 << 20, /*EraseProb=*/0.2, 61);
 }
 
-TEST(FlatVarTableTest, FindBlockMatchesScalarFindCollisionHeavy) {
+TEST(FlatVarTableTest, ContainsMatchesFindCollisionHeavy) {
   // Tiny universe under churn: dense table, long collision and tombstone
   // chains, repeated shrink/grow rehashes.
-  differentialFindBlockCheck(/*KeyUniverse=*/96, /*EraseProb=*/0.45, 67);
-  differentialFindBlockCheck(/*KeyUniverse=*/40, /*EraseProb=*/0.6, 71);
+  differentialContainsCheck(/*KeyUniverse=*/96, /*EraseProb=*/0.45, 67);
+  differentialContainsCheck(/*KeyUniverse=*/40, /*EraseProb=*/0.6, 71);
 }

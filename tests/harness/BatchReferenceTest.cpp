@@ -7,20 +7,22 @@
 // shardedReplay otherwise, same seeds -- and must match bit for bit on
 // everything expectSameAnalysis compares.
 //
-// The matrix crosses Generic, FastTrack, PACER at r = 3% and 50%, and
-// LiteRace; shard counts {1, 4}; the indexed and full-scan engines; and
-// in-memory and streamed input; PACER at r = 3% also runs on sparse
-// VarIds past the var table's presence-bitmap cap. It is split by where
-// the setups spend their accesses: ColdPathEquivalenceTest runs PACER at
-// r = 3% and LiteRace, whose accesses mostly take the non-sampling (cold)
-// path, and HotPathEquivalenceTest runs Generic, FastTrack and PACER at
-// r = 50%, which analyse most or all of theirs. PACER runs with a small simulated
-// nursery, so period boundaries toggle sampling mid-run and both its cold
-// and hot batches run at either rate. The stream's 700-action window cuts
-// access runs at chunk edges unrelated to phase boundaries. LiteRace runs
-// at K = 1 only: its sharded replicas replay a precomputed sampler plan,
-// which the per-access loop does not take (ShardedReplayTest pins sharded
-// LiteRace to sequential replay).
+// The matrix crosses Generic, FastTrack, PACER at r = 3%, 50% and 100%,
+// and LiteRace; shard counts {1, 4}; the indexed and full-scan engines;
+// and in-memory and streamed input; PACER at r = 3% and 100% also runs on
+// sparse VarIds past the var table's presence-bitmap cap. It is split by
+// where the setups spend their accesses: ColdPathEquivalenceTest runs
+// PACER at r = 3% and LiteRace, whose accesses mostly take the
+// non-sampling (cold) path, and HotPathEquivalenceTest runs Generic,
+// FastTrack and PACER at r = 50% and 100%, which analyse most or all of
+// theirs. PACER at 3% and 50% runs with a small simulated nursery, so
+// period boundaries toggle sampling mid-run and both its cold and hot
+// batches run at either rate; at 100% it keeps the default periods, so
+// its var table grows inside long hot batches. The stream's 700-action
+// window cuts access runs at chunk edges unrelated to phase boundaries.
+// LiteRace runs at K = 1 only: its sharded replicas replay a precomputed
+// sampler plan, which the per-access loop does not take
+// (ShardedReplayTest pins sharded LiteRace to sequential replay).
 //
 // The sync side's batch path, Detector::syncBatch over coalesced
 // acquire/release pair runs, is held to per-event delivery the same way,
@@ -117,8 +119,6 @@ AnalysisResult referenceAnalysis(const CompiledWorkload &Workload,
     Out.Boundaries = Sharded.Boundaries;
     Out.FinalMetadataBytes = Sharded.FinalMetadataBytes;
     Out.PeakSlotCount = Sharded.PeakSlotCount;
-    Out.ProbeVectorResolved = Sharded.Probe.VectorResolved;
-    Out.ProbeScalarFallback = Sharded.Probe.ScalarFallback;
     Out.SampleReports = std::move(Sharded.SampleReports);
   } else {
     RaceLog Log;
@@ -136,8 +136,6 @@ AnalysisResult referenceAnalysis(const CompiledWorkload &Workload,
     }
     Out.FinalMetadataBytes = D->liveMetadataBytes();
     Out.PeakSlotCount = D->peakSlotCount();
-    Out.ProbeVectorResolved = D->probeCounters().VectorResolved;
-    Out.ProbeScalarFallback = D->probeCounters().ScalarFallback;
     Out.SampleReports = Log.sampleReports();
   }
   if (Setup.Kind == DetectorKind::LiteRace)
@@ -164,11 +162,13 @@ NamedSetups coldSetups() {
 }
 
 /// Setups that analyse most or all accesses: the full detectors and PACER
-/// at a high rate.
+/// at a high rate and at r = 100% with the default periods, where the
+/// var table grows inside sampling-phase batches.
 NamedSetups hotSetups() {
   return {{"generic", genericSetup()},
           {"fasttrack", fastTrackSetup()},
-          {"pacer_r50", pacerWithShortPeriods(0.5)}};
+          {"pacer_r50", pacerWithShortPeriods(0.5)},
+          {"pacer_r100", pacerSetup(1.0)}};
 }
 
 NamedSetups detectorMatrix() {
@@ -288,7 +288,8 @@ TEST(ColdPathEquivalenceTest, ColdKernelBitIdenticalOnSparseVarIds) {
   // presence bitmap. Renaming every read/write target v to v * 65537 in an
   // eclipse-sized variable space pushes most of them past the bitmap's
   // 2^26-key cap, where PACER's cold kernel answers through the overflow
-  // probe instead of a bit test. 65537 = 1 (mod 4), so VarId % K shard
+  // probe instead of a bit test, and at r = 100% the hot loop finds
+  // every entry by such keys. 65537 = 1 (mod 4), so VarId % K shard
   // ownership is unchanged at K = 4.
   CompiledWorkload Workload(scaleWorkload(eclipseModel(), 0.05));
   const uint64_t Seed = 29;
@@ -304,17 +305,26 @@ TEST(ColdPathEquivalenceTest, ColdKernelBitIdenticalOnSparseVarIds) {
   }
   ASSERT_GT(PastCap * 2, Accesses);
 
-  for (unsigned Shards : {1u, 4u}) {
-    const AnalysisRequest Request = requestFor(
-        pacerWithShortPeriods(0.03), Shards, /*UseIndex=*/true, Seed);
-    const AnalysisResult Got =
-        AnalysisSession(Workload, Request).analyzeTrace(T);
-    expectSameAnalysis(Got, referenceAnalysis(Workload, Request, T),
-                       cellName("pacer_r3 sparse", Shards, true));
-    // The cold kernel met tracked variables (slow non-sampling hits), so
-    // the overflow probe decided some of its accesses.
-    EXPECT_GT(Got.Stats.ReadSlowNonSampling + Got.Stats.WriteSlowNonSampling,
-              0u);
+  for (const auto &[Name, Setup] :
+       NamedSetups{{"pacer_r3 sparse", pacerWithShortPeriods(0.03)},
+                   {"pacer_r100 sparse", pacerSetup(1.0)}}) {
+    for (unsigned Shards : {1u, 4u}) {
+      const AnalysisRequest Request =
+          requestFor(Setup, Shards, /*UseIndex=*/true, Seed);
+      const AnalysisResult Got =
+          AnalysisSession(Workload, Request).analyzeTrace(T);
+      expectSameAnalysis(Got, referenceAnalysis(Workload, Request, T),
+                         cellName(Name, Shards, true));
+      if (Setup.SamplingRate < 1.0) {
+        // The cold kernel met tracked variables (slow non-sampling hits),
+        // so the overflow probe decided some of its accesses.
+        EXPECT_GT(Got.Stats.ReadSlowNonSampling +
+                      Got.Stats.WriteSlowNonSampling,
+                  0u);
+      } else {
+        EXPECT_EQ(Got.Stats.hotAccesses(), Accesses);
+      }
+    }
   }
 }
 
@@ -405,33 +415,4 @@ TEST(BatchReferenceTest, PhaseSplitPartitionsAnalysedAccesses) {
       S.WriteFastNonSampling;
   EXPECT_EQ(S.hotAccesses() + S.coldAccesses(), Analysed);
   EXPECT_GT(S.coldAccesses(), S.hotAccesses());
-}
-
-TEST(BatchReferenceTest, ProbeTallyPartitionsStagedAccesses) {
-  // PACER's sampling-phase batch resolves its var-table entries one
-  // staged block at a time, so at r = 100% every analysed access is
-  // tallied exactly once (vector-resolved or scalar-fallback), however
-  // the shards slice the blocks; the per-access reference never probes.
-  CompiledWorkload Workload(mediumTestWorkload());
-  const uint64_t Seed = 59;
-  Trace T = generateTrace(Workload, Seed);
-  auto Probes = [](const AnalysisResult &R) {
-    return R.ProbeVectorResolved + R.ProbeScalarFallback;
-  };
-
-  const AnalysisRequest Sequential =
-      requestFor(pacerSetup(1.0), 1, false, Seed);
-  AnalysisResult Batched =
-      AnalysisSession(Workload, Sequential).analyzeTrace(T);
-  ASSERT_TRUE(Batched.Ok) << Batched.Error;
-  EXPECT_GT(Probes(Batched), 0u);
-  EXPECT_EQ(Probes(Batched), Batched.Stats.hotAccesses());
-
-  AnalysisResult Sharded =
-      AnalysisSession(Workload, requestFor(pacerSetup(1.0), 4, true, Seed))
-          .analyzeTrace(T);
-  ASSERT_TRUE(Sharded.Ok) << Sharded.Error;
-  EXPECT_EQ(Probes(Sharded), Probes(Batched));
-
-  EXPECT_EQ(Probes(referenceAnalysis(Workload, Sequential, T)), 0u);
 }

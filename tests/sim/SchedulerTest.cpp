@@ -141,8 +141,7 @@ TEST(SchedulerTest, WaveStructureBoundsLiveThreads) {
   WorkloadSpec Spec = mediumTestWorkload(); // 12 workers, 6 per wave.
   CompiledWorkload Workload(Spec);
   Trace T = generateTrace(Workload, 3);
-  EXPECT_LE(maxLiveThreads(T, Workload.totalThreads()),
-            Spec.MaxLiveWorkers + 1u);
+  EXPECT_LE(maxLiveThreads(T), Spec.MaxLiveWorkers + 1u);
 }
 
 

@@ -247,15 +247,6 @@ FileOutcome analyseFile(const std::string &Path,
                                   : 0.0,
                   static_cast<unsigned long long>(PhaseTotal - Hot));
     Out.Text += Buf;
-    // Gather-probe effectiveness: keys the vectorized var-table probe
-    // resolved in-block vs. keys that fell back to a scalar walk
-    // (collisions, rehash mid-block). Zero/zero for every detector but
-    // PACER, whose sampling-phase batch is the only vectorized probe.
-    std::snprintf(Buf, sizeof(Buf),
-                  "  probe keys %llu vector-resolved, %llu scalar-fallback\n",
-                  static_cast<unsigned long long>(Result.ProbeVectorResolved),
-                  static_cast<unsigned long long>(Result.ProbeScalarFallback));
-    Out.Text += Buf;
   }
 
   // Sharded replay merges sample reports replica by replica, so their
