@@ -63,7 +63,8 @@ public:
   }
   ReadMap &operator=(ReadMap &&Other) noexcept {
     if (this != &Other) {
-      Arena::freeBlock(Entries);
+      if (Entries)
+        Arena::freeBlock(Entries);
       E = Other.E;
       ESite = Other.ESite;
       Entries = Other.Entries;
@@ -75,7 +76,10 @@ public:
   }
   ReadMap(const ReadMap &) = delete;
   ReadMap &operator=(const ReadMap &) = delete;
-  ~ReadMap() { Arena::freeBlock(Entries); }
+  ~ReadMap() {
+    if (Entries)
+      Arena::freeBlock(Entries);
+  }
 
   Kind kind() const {
     if (Entries)

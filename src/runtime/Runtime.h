@@ -40,6 +40,7 @@
 #include "sim/Action.h"
 #include "sim/TraceIO.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace pacer {
@@ -318,8 +319,8 @@ private:
     if (seen(Tid))
       return false;
     if (Tid >= Seen.size())
-      Seen.resize(Tid + 1, false);
-    Seen[Tid] = true;
+      Seen.resize(Tid + 1, 0);
+    Seen[Tid] = 1;
     return true;
   }
 
@@ -327,7 +328,7 @@ private:
   SamplingController *Controller;
   bool SyncBatching;
   bool Started = false;
-  std::vector<bool> Seen;
+  std::vector<uint8_t> Seen; // Bytes, not bits: seen() runs per access.
 };
 
 } // namespace pacer

@@ -3,7 +3,17 @@
 #include "support/Arena.h"
 
 #include <cassert>
+#include <mutex>
 #include <new>
+
+#include <sys/mman.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#define ASAN_UNPOISON_MEMORY_REGION(Addr, Size) ((void)(Addr), (void)(Size))
+#endif
 
 using namespace pacer;
 
@@ -12,6 +22,33 @@ namespace {
 thread_local Arena *CurrentArena = nullptr;
 
 size_t roundUp16(size_t Bytes) { return (Bytes + 15) & ~size_t(15); }
+
+// The process-wide pool of default-size slabs whose arena died, linked
+// through each slab's first word and kept mapped for the next arena.
+// Arenas are born and die on different ThreadPool workers, so one mutex
+// guards the list; it is taken once per slab an arena takes and once per
+// dying arena. A slab is mapped only when the pool is empty, so the pool
+// and the live arenas together never hold more slabs than were live at
+// once.
+constinit std::mutex PoolLock;
+constinit char *PoolHead = nullptr;
+
+/// Takes a pooled slab of \p Bytes, or maps a new one.
+char *takeSlab(size_t Bytes) {
+  {
+    std::lock_guard<std::mutex> Guard(PoolLock);
+    if (char *Slab = PoolHead) {
+      ASAN_UNPOISON_MEMORY_REGION(Slab, Bytes);
+      PoolHead = *reinterpret_cast<char **>(Slab);
+      return Slab;
+    }
+  }
+  void *Mapped = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (Mapped != MAP_FAILED)
+    return static_cast<char *>(Mapped);
+  return static_cast<char *>(::operator new(Bytes));
+}
 
 } // namespace
 
@@ -22,7 +59,18 @@ Arena::Scope::~Scope() { CurrentArena = Prev; }
 
 Arena::~Arena() {
   for (const Slab &S : Slabs)
-    ::operator delete(S.Base);
+    if (S.Bytes != DefaultSlabBytes)
+      ::operator delete(S.Base);
+  // Default-size slabs outlive the arena: the pool poisons them for
+  // AddressSanitizer until the next arena takes one.
+  std::lock_guard<std::mutex> Guard(PoolLock);
+  for (const Slab &S : Slabs) {
+    if (S.Bytes != DefaultSlabBytes)
+      continue;
+    *reinterpret_cast<char **>(S.Base) = PoolHead;
+    PoolHead = S.Base;
+    ASAN_POISON_MEMORY_REGION(S.Base, S.Bytes);
+  }
 }
 
 size_t Arena::classOf(size_t Bytes) {
@@ -46,9 +94,12 @@ void *Arena::carve(size_t TotalBytes) {
     ++CurSlab;
     CurOffset = 0;
   }
-  size_t SlabSize = TotalBytes > DefaultSlabBytes ? TotalBytes
-                                                  : DefaultSlabBytes;
-  char *Base = static_cast<char *>(::operator new(SlabSize));
+  // A block larger than a default slab gets a dedicated heap slab; only
+  // default-size slabs are pooled.
+  const bool Oversize = TotalBytes > DefaultSlabBytes;
+  const size_t SlabSize = Oversize ? TotalBytes : DefaultSlabBytes;
+  char *Base = Oversize ? static_cast<char *>(::operator new(SlabSize))
+                        : takeSlab(SlabSize);
   Slabs.push_back({Base, SlabSize});
   SlabBytesTotal += SlabSize;
   ++SlabAllocs;

@@ -26,9 +26,18 @@
 /// once while keeping the slabs -- legal only when no live block from
 /// this arena remains (see DESIGN.md section 6f for the lifetime rules).
 ///
+/// Default-size slabs outlive their arena: ~Arena parks them, still
+/// mapped, in one process-wide pool, and the next arena to need a slab
+/// takes one from there before mapping a new one. A process that runs
+/// many analyses (racedetect over several files, racedetectd) therefore
+/// page-faults its detector metadata in once, not once per analysis.
+/// Oversize slabs (one block larger than a default slab) go back to the
+/// heap.
+///
 /// An Arena is single-threaded: exactly one thread may allocate from or
 /// free into it at a time. Sharded replay satisfies this trivially (one
-/// replica = one detector = one worker at a time).
+/// replica = one detector = one worker at a time). The slab pool is the
+/// one structure arenas share; a mutex guards it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,14 +65,14 @@ public:
   /// only when no live block from this arena remains.
   void reset();
 
-  /// Total bytes of slab memory owned (the arena's heap footprint).
+  /// Total bytes of slab memory this arena holds (its footprint).
   size_t slabBytes() const { return SlabBytesTotal; }
 
   /// Blocks handed out over the arena's lifetime (test/diagnostic hook).
   uint64_t blockAllocations() const { return BlockAllocs; }
 
-  /// Slab allocations over the lifetime: how often the arena itself had
-  /// to touch the general-purpose heap (test/diagnostic hook).
+  /// Slabs this arena took over its lifetime, pooled or newly mapped
+  /// (test/diagnostic hook).
   uint64_t slabAllocations() const { return SlabAllocs; }
 
   /// The arena bound to the current thread (null if none).

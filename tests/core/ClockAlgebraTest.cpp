@@ -85,10 +85,12 @@ TEST_P(ClockAlgebraTest, LeqIsPartialOrder) {
     VectorClock B = randomClock(Random, 12, 20);
     VectorClock C = joined(B, randomClock(Random, 12, 20));
     EXPECT_TRUE(A.leq(A)) << "reflexive";
-    if (A.leq(B) && B.leq(A))
+    if (A.leq(B) && B.leq(A)) {
       EXPECT_TRUE(A == B) << "antisymmetric";
-    if (A.leq(B))
+    }
+    if (A.leq(B)) {
       EXPECT_TRUE(A.leq(C)) << "transitive through an upper bound of B";
+    }
   }
 }
 

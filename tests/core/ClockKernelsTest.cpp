@@ -147,8 +147,9 @@ TEST_P(ClockKernelsTest, CopyWordsAndTrimTrailingZeros) {
     EXPECT_LE(M, N);
     for (size_t I = M; I < N; ++I)
       EXPECT_EQ(Src[I], 0u);
-    if (M > 0)
+    if (M > 0) {
       EXPECT_NE(Src[M - 1], 0u);
+    }
   }
 }
 

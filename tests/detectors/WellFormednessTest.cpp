@@ -61,9 +61,10 @@ public:
         ASSERT_LE(Other.get(T), OwnTime) << "criterion 1 at " << EventIndex;
         ASSERT_LE(OtherVer.get(T), OwnVersion)
             << "criterion 6 at " << EventIndex;
-        if (Sampling)
+        if (Sampling) {
           ASSERT_LT(Other.get(T), OwnTime)
               << "strict criterion 2 at " << EventIndex;
+        }
       }
 
       // Criteria 2/5 (+ strict 3/4): lock and volatile clocks bounded.
@@ -71,32 +72,36 @@ public:
         if (const VectorClock *Clock = D.lockClockForTest(Lock)) {
           ASSERT_LE(Clock->get(T), OwnTime)
               << "lock criterion 2 at " << EventIndex;
-          if (Sampling)
+          if (Sampling) {
             ASSERT_LT(Clock->get(T), OwnTime)
                 << "strict lock criterion 3 at " << EventIndex;
+          }
         }
       }
       for (VolatileId Vol = 0; Vol < W.spec().Volatiles; ++Vol) {
         if (const VectorClock *Clock = D.volatileClockForTest(Vol)) {
           ASSERT_LE(Clock->get(T), OwnTime)
               << "volatile criterion 5 at " << EventIndex;
-          if (Sampling)
+          if (Sampling) {
             ASSERT_LT(Clock->get(T), OwnTime)
                 << "strict volatile criterion 4 at " << EventIndex;
+          }
         }
       }
 
       // Criteria 3-4: variable metadata bounded.
       for (VarId Var = 0; Var < W.numVars(); ++Var) {
         Epoch Write = D.writeEpochForTest(Var);
-        if (!Write.isNone() && Write.tid() == T)
+        if (!Write.isNone() && Write.tid() == T) {
           ASSERT_LE(Write.clockValue(), OwnTime)
               << "criterion 4 at " << EventIndex;
+        }
         if (const ReadMap *R = D.readMapForTest(Var))
           R->forEach([&](const ReadEntry &Entry) {
-            if (Entry.Tid == T)
+            if (Entry.Tid == T) {
               ASSERT_LE(Entry.Clock, OwnTime)
                   << "criterion 3 at " << EventIndex;
+            }
           });
       }
 
@@ -104,15 +109,17 @@ public:
       for (LockId Lock = 0; Lock < W.spec().Locks; ++Lock) {
         VersionEpoch VEpoch = D.lockVersionEpochForTest(Lock);
         const VectorClock *Clock = D.lockClockForTest(Lock);
-        if (Clock && VEpoch.precedes(OwnVer))
+        if (Clock && VEpoch.precedes(OwnVer)) {
           ASSERT_TRUE(Clock->leq(OwnClock)) << "Lemma 7 at " << EventIndex;
+        }
       }
       for (VolatileId Vol = 0; Vol < W.spec().Volatiles; ++Vol) {
         VersionEpoch VEpoch = D.volatileVersionEpochForTest(Vol);
         const VectorClock *Clock = D.volatileClockForTest(Vol);
-        if (Clock && VEpoch.precedes(OwnVer))
+        if (Clock && VEpoch.precedes(OwnVer)) {
           ASSERT_TRUE(Clock->leq(OwnClock))
               << "volatile Lemma 7 at " << EventIndex;
+        }
       }
     }
 

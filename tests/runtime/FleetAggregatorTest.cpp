@@ -109,8 +109,9 @@ TEST(FleetAggregatorTest, FleetSizeInvertsCoverage) {
       uint32_t K = Fleet.fleetSizeFor(Occurrence, Confidence);
       ASSERT_GT(K, 0u);
       EXPECT_GE(Fleet.coverageProbability(Occurrence, K), Confidence);
-      if (K > 1)
+      if (K > 1) {
         EXPECT_LT(Fleet.coverageProbability(Occurrence, K - 1), Confidence);
+      }
     }
   }
 }

@@ -155,8 +155,9 @@ void expectBulkAdvanceMatchesLoop(const SamplingConfig &Config,
       ASSERT_GE(Adv.Consumed, 1u);
       ASSERT_LE(Adv.Consumed, Left);
       ASSERT_EQ(Adv.Boundary, Predicted != 0);
-      if (Adv.Boundary)
+      if (Adv.Boundary) {
         ASSERT_EQ(Adv.Consumed, Predicted);
+      }
       Left -= Adv.Consumed;
       PosBulk += Adv.Consumed;
       if (Adv.Boundary)

@@ -56,8 +56,9 @@ TEST(ScriptBuilderTest, WorkerLocksBalancedAndAscending) {
     std::vector<LockId> Held;
     for (const Action &A : Scripts[Tid].Ops) {
       if (A.Kind == ActionKind::Acquire) {
-        if (!Held.empty())
+        if (!Held.empty()) {
           EXPECT_GT(A.Target, Held.back()) << "ascending discipline";
+        }
         Held.push_back(A.Target);
       } else if (A.Kind == ActionKind::Release) {
         ASSERT_FALSE(Held.empty());
@@ -84,9 +85,10 @@ TEST(ScriptBuilderTest, SharedAccessesAlwaysUnderGuardLock) {
       else if (A.Kind == ActionKind::Release)
         Held.erase(A.Target);
       else if (isAccessAction(A.Kind) && A.Target >= SharedLo &&
-               A.Target <= SharedHi)
+               A.Target <= SharedHi) {
         EXPECT_TRUE(Held.count(Workload.guardLock(A.Target)))
             << "lock discipline violated";
+      }
     }
   }
 }
@@ -137,9 +139,10 @@ TEST(ScriptBuilderTest, GatedRaceAbsentWhenProbabilityZero) {
   std::vector<ThreadScript> Scripts = Builder.build();
   for (const ThreadScript &Script : Scripts)
     for (const Action &A : Script.Ops)
-      if (isAccessAction(A.Kind))
+      if (isAccessAction(A.Kind)) {
         EXPECT_GE(A.Target, Workload.numRaces())
             << "no racy variable may be touched";
+      }
 }
 
 TEST(ScriptBuilderTest, RacyAccessesLandInSameWave) {
@@ -177,8 +180,9 @@ TEST(ScriptBuilderTest, SitesWithinCompiledRange) {
   ScriptBuilder Builder(Workload, Rng(11));
   for (const ThreadScript &Script : Builder.build())
     for (const Action &A : Script.Ops)
-      if (isAccessAction(A.Kind))
+      if (isAccessAction(A.Kind)) {
         EXPECT_LT(A.Site, Workload.numSites());
+      }
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 //===- tests/support/ArenaTest.cpp ----------------------------------------==//
 //
 // The detector-metadata arena: slab reuse, size-class recycling, the
-// thread binding, and the headered free-from-anywhere contract the
-// detectors' destruction order relies on.
+// thread binding, the headered free-from-anywhere contract the
+// detectors' destruction order relies on, and the process-wide pool that
+// hands a dead arena's slabs to the next arena.
 //
 //===----------------------------------------------------------------------===//
 
@@ -10,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 using namespace pacer;
@@ -158,6 +161,107 @@ TEST(ArenaTest, ArenaAllocatorVectorOutlivesScope) {
   void *P = A.allocate(512 * sizeof(int));
   EXPECT_NE(P, nullptr); // Arena still coherent.
   Arena::freeBlock(P);
+}
+
+TEST(ArenaTest, DeadArenaSlabGoesToNextArena) {
+  void *First;
+  {
+    Arena A;
+    First = A.allocate(32);
+  }
+  // The slab went to the pool, not back to the heap, so a heap block of
+  // its size cannot take it. The pool hands out the most recently pooled
+  // slab first: the next arena's first block lands where the dead
+  // arena's first block was.
+  void *Heap = ::operator new(size_t(64) << 10);
+  Arena B;
+  EXPECT_EQ(B.allocate(32), First);
+  ::operator delete(Heap);
+}
+
+TEST(ArenaTest, OversizeSlabIsNotPooled) {
+  const size_t Big = size_t(1) << 20;
+  void *Small;
+  void *Huge;
+  {
+    Arena A;
+    Small = A.allocate(32); // A default slab...
+    Huge = A.allocate(Big); // ...and a dedicated oversize one.
+  }
+  // Had the oversize slab been pooled, one of the next arena's first two
+  // slabs would be it, and that slab's first block would sit at Huge.
+  Arena B;
+  EXPECT_EQ(B.allocate(32), Small);
+  void *Next;
+  do
+    Next = B.allocate(32);
+  while (B.slabAllocations() == 1);
+  EXPECT_NE(Next, Huge);
+}
+
+TEST(ArenaTest, SlabCountsStayPerArena) {
+  // A 32 KiB block fills a slab on its own (its header tips a second one
+  // over 64 KiB), so each allocation below takes exactly one slab.
+  const size_t Half = size_t(32) << 10;
+  std::vector<void *> Dead;
+  {
+    Arena Warm;
+    for (int I = 0; I < 3; ++I)
+      Dead.push_back(Warm.allocate(Half));
+    EXPECT_EQ(Warm.slabAllocations(), 3u);
+  }
+  // A new arena counts the pooled slabs it takes just as it would count
+  // newly mapped ones, and owns nothing before it takes any. The heap
+  // blocks keep a heap-backed arena from passing by reusing freed slabs.
+  std::vector<void *> Heap;
+  for (int I = 0; I < 3; ++I)
+    Heap.push_back(::operator new(size_t(64) << 10));
+  Arena A;
+  EXPECT_EQ(A.slabAllocations(), 0u);
+  EXPECT_EQ(A.slabBytes(), 0u);
+  void *P = A.allocate(Half);
+  void *Q = A.allocate(Half);
+  EXPECT_NE(std::find(Dead.begin(), Dead.end(), P), Dead.end());
+  EXPECT_NE(std::find(Dead.begin(), Dead.end(), Q), Dead.end());
+  EXPECT_EQ(A.slabAllocations(), 2u);
+  EXPECT_EQ(A.slabBytes(), 2 * (size_t(64) << 10));
+  for (void *H : Heap)
+    ::operator delete(H);
+}
+
+TEST(ArenaTest, ConcurrentArenasNeverShareASlab) {
+  // Arenas are born and die on ThreadPool workers. Each thread fills its
+  // arena's blocks with its own byte and checks them before the arena
+  // dies: a slab handed to two live arenas would mix the bytes.
+  constexpr int Threads = 4;
+  constexpr int Rounds = 100;
+  constexpr int Blocks = 48;
+  constexpr size_t MaxBlock = size_t(64) << 7; // 8 KiB.
+  std::vector<int> Mismatches(Threads, 0);
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < Threads; ++T)
+    Workers.emplace_back([T, &Mismatches] {
+      const unsigned char Pattern = static_cast<unsigned char>(0xa0 + T);
+      const std::vector<unsigned char> Expected(MaxBlock, Pattern);
+      for (int R = 0; R < Rounds; ++R) {
+        Arena A;
+        std::vector<std::pair<void *, size_t>> Live;
+        for (int B = 0; B < Blocks; ++B) {
+          const size_t Bytes = size_t(64) << (B % 8); // 64 B .. 8 KiB.
+          void *P = A.allocate(Bytes);
+          std::memset(P, Pattern, Bytes);
+          Live.push_back({P, Bytes});
+        }
+        std::this_thread::yield();
+        for (const auto &[P, Bytes] : Live)
+          if (std::memcmp(P, Expected.data(), Bytes) != 0)
+            ++Mismatches[T];
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (int T = 0; T < Threads; ++T)
+    EXPECT_EQ(Mismatches[T], 0) << "thread " << T;
 }
 
 } // namespace

@@ -111,8 +111,9 @@ TEST(DefaultJobsTest, UnsetEnvMeansSerial) {
   // it, accept any clamped value rather than fail their environment.
   const char *Env = std::getenv("PACER_JOBS");
   unsigned Jobs = defaultJobs();
-  if (!Env || !*Env)
+  if (!Env || !*Env) {
     EXPECT_EQ(Jobs, 1u);
+  }
   EXPECT_GE(Jobs, 1u);
   EXPECT_LE(Jobs, 256u);
 }

@@ -19,7 +19,7 @@
 // metadata) regardless of trace size. Results are bit-identical across
 // formats and read paths.
 //
-//   racedetect --generate=eclipse --scale=0.2 --seed=7 --out=run.trace \
+//   racedetect --generate=eclipse --scale=0.2 --seed=7 --out=run.trace
 //              --trace-format=binary
 //   racedetect run.trace --detector=pacer --rate=0.03 --stats
 //   racedetect a.trace b.trace c.trace --jobs=3

@@ -8,9 +8,9 @@
 // a persistent FleetAggregator whose snapshot survives kill -9 (see
 // runtime/IngestServer.h for the crash-safety story).
 //
-//   racedetectd --listen=/run/racedetectd.sock \
-//               --drop-dir=/var/spool/traces \
-//               --snapshot=/var/lib/racedetectd/fleet.snap \
+//   racedetectd --listen=/run/racedetectd.sock
+//               --drop-dir=/var/spool/traces
+//               --snapshot=/var/lib/racedetectd/fleet.snap
 //               --detector=pacer --rate=0.03
 //
 // Submit and inspect with the racedetect tool:
