@@ -32,8 +32,10 @@ int main(int Argc, char **Argv) {
       std::vector<double> Sorted = Point.PerRaceDistinctRate;
       std::sort(Sorted.begin(), Sorted.end(), std::greater<double>());
       std::string Line = "r=" + formatPercent(Point.SpecifiedRate, 0) + ":";
-      for (double Rate : Sorted)
-        Line += " " + formatPercent(Rate, 0);
+      for (double Rate : Sorted) {
+        Line += ' ';
+        Line += formatPercent(Rate, 0);
+      }
       std::printf("%s   (missed: %u)\n", Line.c_str(),
                   Point.EvaluationRacesMissed);
     }

@@ -56,8 +56,10 @@ int main(int Argc, char **Argv) {
       std::sort(Sorted.begin(), Sorted.end(), std::greater<double>());
       std::string Line(Label);
       Line += ":";
-      for (double Rate : Sorted)
-        Line += " " + formatPercent(Rate, 0);
+      for (double Rate : Sorted) {
+        Line += ' ';
+        Line += formatPercent(Rate, 0);
+      }
       std::printf("%s\n", Line.c_str());
     };
     PrintLine("LiteRace", LiteRace);

@@ -86,13 +86,16 @@ int main() {
   std::vector<FleetRaceInfo> Summary = Fleet.summarize();
   for (size_t I = 0; I < Summary.size() && I < 6; ++I) {
     const FleetRaceInfo &Info = Summary[I];
+    std::string Interval = "[";
+    Interval += formatPercent(Info.DetectionCI.Low, 1);
+    Interval += ", ";
+    Interval += formatPercent(Info.DetectionCI.High, 1);
+    Interval += ']';
     Table.addRow({std::to_string(Info.Key.FirstSite) + "," +
                       std::to_string(Info.Key.SecondSite),
                   std::to_string(Info.InstancesReporting) + "/" +
                       std::to_string(Fleet.instanceCount()),
-                  formatPercent(Info.EstimatedOccurrence, 0),
-                  "[" + formatPercent(Info.DetectionCI.Low, 1) + ", " +
-                      formatPercent(Info.DetectionCI.High, 1) + "]"});
+                  formatPercent(Info.EstimatedOccurrence, 0), Interval});
   }
   std::printf("%s", Table.render().c_str());
 

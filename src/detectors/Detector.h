@@ -189,6 +189,26 @@ public:
     accessBatch(Batch, AccessShard::all());
   }
 
+  /// Analyses one whole access run as the sequential replay scan found
+  /// it: no sampling-period boundary inside, every access analysed, and
+  /// \p Writes of its accesses writes (the scan counts them from the kind
+  /// bytes it reads to find the run). The default forwards to
+  /// accessBatch(); an override must be observationally identical to it.
+  /// PACER's is: outside sampling, with no metadata, the count is all the
+  /// run needs. The runtime calls it only when takesRunWriteCounts() is
+  /// true; runs split at a boundary or filtered by a shard still arrive
+  /// through accessBatch().
+  virtual void accessRun(std::span<const Action> Run, uint64_t Writes) {
+    (void)Writes;
+    accessBatch(Run, AccessShard::all());
+  }
+
+  /// True if this detector overrides accessRun() to use the write count.
+  /// The runtime sends whole runs through accessRun() only then; every
+  /// other detector gets them straight through accessBatch(), without
+  /// the forwarding call, which slowed FastTrack's replay measurably.
+  bool takesRunWriteCounts() const { return TakesRunWriteCounts; }
+
   /// True iff analysing an owned access depends only on previously
   /// analysed *owned* accesses and synchronization actions -- never on
   /// accesses some other shard owns. When true, a sharded replica may be
@@ -285,6 +305,8 @@ protected:
   }
 
   RaceSink &Sink;
+  /// Set by a detector whose accessRun() override uses the write count.
+  bool TakesRunWriteCounts = false;
   DetectorStats Stats;
   ProbeCounters Probe;
 };

@@ -667,10 +667,25 @@ void PacerDetector::accessBatch(std::span<const Action> Batch,
   // here selects the kernel for the whole run. (Accordion clocks need the
   // per-access path for slot bookkeeping.)
   if (!Config.UseAccordionClocks) {
-    if (Sampling)
+    if (Sampling) {
       hotAccessBatch(Batch, Shard);
-    else
-      coldAccessBatch(Batch, Shard);
+      return;
+    }
+    // Owned reads are the owned remainder after counting owned writes, so
+    // the unsharded count touches one byte per action and nothing else.
+    uint64_t Owned = Batch.size(), Writes = 0;
+    if (Shard.ownsAll()) {
+      for (const Action &A : Batch)
+        Writes += A.Kind != ActionKind::Read;
+    } else {
+      Owned = 0;
+      for (const Action &A : Batch) {
+        const uint64_t Own = A.Target % Shard.count() == Shard.index();
+        Owned += Own;
+        Writes += Own & static_cast<uint64_t>(A.Kind != ActionKind::Read);
+      }
+    }
+    coldAccessRun(Batch, Shard, Owned, Writes);
     return;
   }
   for (const Action &A : Batch) {
@@ -683,56 +698,45 @@ void PacerDetector::accessBatch(std::span<const Action> Batch,
   }
 }
 
-void PacerDetector::coldAccessBatch(std::span<const Action> Batch,
-                                    const AccessShard &Shard) {
-  // Bulk fast path: every access in the epoch is the inlined
-  // "flag test + metadata-bit miss" (Section 4). Non-sampling accesses never
-  // insert metadata and nothing else runs inside an epoch, so Vars stays
-  // empty for the whole batch; count the owned accesses and return.
-  if (Vars.empty()) {
-    // Owned reads are the owned remainder after counting owned writes, so
-    // the unsharded loop touches one byte per action and nothing else.
-    uint64_t Writes = 0;
-    if (Shard.ownsAll()) {
-      for (const Action &A : Batch)
-        Writes += A.Kind != ActionKind::Read;
-      Stats.ReadFastNonSampling += Batch.size() - Writes;
-    } else {
-      uint64_t Owned = 0;
-      for (const Action &A : Batch) {
-        const uint64_t Own = A.Target % Shard.count() == Shard.index();
-        Owned += Own;
-        Writes += Own & static_cast<uint64_t>(A.Kind != ActionKind::Read);
-      }
-      Stats.ReadFastNonSampling += Owned - Writes;
-    }
-    Stats.WriteFastNonSampling += Writes;
+void PacerDetector::accessRun(std::span<const Action> Run, uint64_t Writes) {
+  if (Sampling || Config.UseAccordionClocks || !Config.InstrumentReadsWrites) {
+    PacerDetector::accessBatch(Run, AccessShard::all());
     return;
   }
+  // No arena scope: the kernel allocates nothing, and each hit's
+  // read()/write() binds the arena itself.
+  coldAccessRun(Run, AccessShard::all(), Run.size(), Writes);
+}
 
-  // Some variables still hold metadata (a sampling period ended recently
-  // and its records have not all been discarded). Each owned access tests
-  // its variable's presence bit; only hits -- rare at low rates -- take the
-  // full read()/write() discard logic. The bit is read live per access,
-  // because a hit's read()/write() may erase entries.
-  uint64_t FastReads = 0, FastWrites = 0;
-  for (const Action &A : Batch) {
-    if (!Shard.owns(A.Target))
-      continue;
-    const uint64_t W = A.Kind != ActionKind::Read;
-    if (Vars.contains(A.Target)) {
-      if (W)
-        write(A.Tid, A.Target, A.Site);
-      else
+void PacerDetector::coldAccessRun(std::span<const Action> Batch,
+                                  const AccessShard &Shard, uint64_t Owned,
+                                  uint64_t Writes) {
+  // While no variable holds metadata every access in the epoch is the
+  // inlined "flag test + metadata-bit miss" (Section 4): non-sampling
+  // accesses never insert metadata and nothing else runs inside an epoch,
+  // so Vars stays empty for the whole batch and the counts are the whole
+  // answer. Otherwise some variables still hold metadata (a sampling
+  // period ended recently and its records have not all been discarded):
+  // each owned access tests its variable's presence bit, and only hits --
+  // rare at low rates -- take the full read()/write() discard logic. The
+  // bit is read live per access, because a hit's read()/write() may erase
+  // entries.
+  uint64_t HitReads = 0, HitWrites = 0;
+  if (!Vars.empty()) {
+    for (const Action &A : Batch) {
+      if (!Shard.owns(A.Target) || !Vars.contains(A.Target))
+        continue;
+      if (A.Kind == ActionKind::Read) {
+        ++HitReads;
         read(A.Tid, A.Target, A.Site);
-      continue;
+      } else {
+        ++HitWrites;
+        write(A.Tid, A.Target, A.Site);
+      }
     }
-    // Miss: the inlined fast path, folded into branchless counters.
-    FastWrites += W;
-    FastReads += W ^ 1;
   }
-  Stats.ReadFastNonSampling += FastReads;
-  Stats.WriteFastNonSampling += FastWrites;
+  Stats.ReadFastNonSampling += Owned - Writes - HitReads;
+  Stats.WriteFastNonSampling += Writes - HitWrites;
 }
 
 void PacerDetector::hotAccessBatch(std::span<const Action> Batch,

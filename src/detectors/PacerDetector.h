@@ -92,6 +92,7 @@ class PacerDetector : public Detector {
 public:
   explicit PacerDetector(RaceSink &Sink, PacerConfig Config = {})
       : Detector(Sink), Config(Config) {
+    TakesRunWriteCounts = true;
     if (Config.UseAccordionClocks)
       Recycler.enable();
   }
@@ -119,12 +120,20 @@ public:
   /// Batched epoch dispatch, phase-routed: the replay layer guarantees no
   /// sampling-period boundary falls inside a batch, so the sampling flag
   /// is loop-invariant and one test picks the whole epoch's kernel --
-  /// coldAccessBatch() outside sampling periods, hotAccessBatch() inside
-  /// them, and the per-access loop under accordion clocks (which keeps
-  /// the slot bookkeeping in read()/write()).
+  /// coldAccessRun() outside sampling periods (after counting the owned
+  /// accesses and writes), hotAccessBatch() inside them, and the
+  /// per-access loop under accordion clocks (which keeps the slot
+  /// bookkeeping in read()/write()).
   using Detector::accessBatch;
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override;
+
+  /// A whole run from the replay scan, with its write count: outside
+  /// sampling periods it goes straight to the cold kernel, which needs
+  /// nothing more than the count while no variable holds metadata, so
+  /// the scan is the only pass over the run. Sampling runs and accordion
+  /// clocks take accessBatch().
+  void accessRun(std::span<const Action> Run, uint64_t Writes) override;
 
   /// Materializes the thread's clock slot at first sight in the trace,
   /// pinning slot allocation and Started timing to a pure function of the
@@ -266,16 +275,17 @@ private:
   /// Algorithm 16 / Table 7 Rules 7-9: V_x <- V_x join C_t.
   void joinIntoVolatile(SyncObjState &Vol, ThreadId Tid);
 
-  /// The non-sampling cold kernel: analyses one phase-pure epoch with no
-  /// per-access dispatch. With no tracked variables the epoch reduces to
-  /// two counter additions (non-sampling accesses never insert metadata,
-  /// so emptiness is loop-invariant downward). Otherwise each owned access
-  /// tests its variable's FlatVarTable presence bit: misses fold into
-  /// branchless fast-path counters, and only hits -- rare at low rates --
-  /// fall through to the full read()/write() discard logic. Bit-identical
-  /// to the per-access loop.
-  void coldAccessBatch(std::span<const Action> Batch,
-                       const AccessShard &Shard);
+  /// The non-sampling cold kernel: analyses one phase-pure epoch, of
+  /// which \p Shard owns \p Owned accesses, \p Writes of them writes, with
+  /// no per-access dispatch. With no tracked variables the epoch reduces
+  /// to two counter additions (non-sampling accesses never insert
+  /// metadata, so emptiness is loop-invariant downward). Otherwise each
+  /// owned access tests its variable's FlatVarTable presence bit; only
+  /// hits -- rare at low rates -- run the full read()/write() discard
+  /// logic and are counted, and the misses are the owned accesses less the
+  /// hits. Bit-identical to the per-access loop.
+  void coldAccessRun(std::span<const Action> Batch, const AccessShard &Shard,
+                     uint64_t Owned, uint64_t Writes);
 
   /// The sampling-phase hot kernel: FastTrack's loop shape. The thread's
   /// clock and epoch are resolved at thread switches, each owned access

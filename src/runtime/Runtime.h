@@ -10,8 +10,10 @@
 /// implementation. The replay path is two-level: the trace is segmented
 /// into *epochs* -- maximal runs of data accesses with no synchronization
 /// action, thread-lifecycle event, or sampling-period boundary inside --
-/// and each epoch is delivered to the detector as one
-/// Detector::accessBatch() call. Synchronization actions dispatch to the
+/// and each epoch is delivered to the detector as one call:
+/// Detector::accessRun() with the run's write count when the scan's run
+/// reaches a detector that takes the count whole, Detector::accessBatch()
+/// otherwise. Synchronization actions dispatch to the
 /// matching per-action hook as before, and an optional sampling controller
 /// delivers sbegin/send transitions at simulated GC boundaries; the
 /// segmenter flushes the pending batch before any action whose accounting
@@ -108,16 +110,17 @@ public:
   /// value is therefore firstInvalidRecord(T, Why).
   ///
   /// Access runs are processed at run granularity, not per access: the
-  /// scan locates each maximal run of data accesses, and deliverRun()
-  /// segments it with the controller's closed-form boundary arithmetic.
-  /// A run also ends at a thread's first sight: that access opens the
-  /// next run after its threadBegin. Every accessBatch the detector sees
-  /// is phase-pure -- period toggles happen only between sub-spans -- and
-  /// controller cost is O(boundaries) per run instead of two calls per
-  /// access. The detector observes exactly the per-action hook order:
-  /// batch flushes before a threadBegin, threadBegin before a toggle at
-  /// the same position, and the boundary-firing access delivered after
-  /// the toggle.
+  /// scan locates each maximal run of data accesses, counting its writes
+  /// on the way, and deliverRun() segments it with the controller's
+  /// closed-form boundary arithmetic. A run also ends at a thread's first
+  /// sight: that access opens the next run after its threadBegin. Every
+  /// batch the detector sees is phase-pure -- period toggles happen only
+  /// between sub-spans -- and controller cost is one inline compare per
+  /// run that fires no boundary, plus O(boundaries) for one that does.
+  /// The detector observes exactly the per-action hook order: batch
+  /// flushes before a threadBegin, threadBegin before a toggle at the
+  /// same position, and the boundary-firing access delivered after the
+  /// toggle.
   size_t replayChunk(TraceSpan T, const AccessShard &Shard) {
     const size_t N = T.size();
     size_t I = 0;
@@ -156,12 +159,23 @@ public:
       }
       // Access run [I, RunEnd): A opens it; it ends before the first
       // record that is not an access, is invalid, or is its thread's
-      // first sight. Such a record starts the next loop iteration.
+      // first sight. Such a record starts the next loop iteration. The
+      // scan counts the run's writes from the kind bytes it reads anyway,
+      // so a detector that needs no more than the count (PACER outside
+      // sampling, with no metadata) never reads the run again. Nothing
+      // inside the run changes Seen, so its bounds stay in registers.
+      const uint8_t *const SeenBytes = Seen.data();
+      const size_t SeenSize = Seen.size();
       size_t RunEnd = I + 1;
-      while (RunEnd < N && isAccessAction(T[RunEnd].Kind) &&
-             !validateActionRecord(T[RunEnd]) && seen(T[RunEnd].Tid))
-        ++RunEnd;
-      deliverRun(T, I, RunEnd, Shard);
+      uint64_t Writes = A.Kind == ActionKind::Write;
+      for (; RunEnd < N; ++RunEnd) {
+        const Action &B = T[RunEnd];
+        if (!isAccessAction(B.Kind) || validateActionRecord(B) ||
+            B.Tid >= SeenSize || !SeenBytes[B.Tid])
+          break;
+        Writes += B.Kind == ActionKind::Write;
+      }
+      deliverRun(T, I, RunEnd, Writes, Shard);
       I = RunEnd;
     }
     return N;
@@ -178,9 +192,10 @@ public:
   /// under the old sampling state, advanceSyncRun() toggles at the firing
   /// event, and the firing event re-joins the next segment post-toggle --
   /// a segment cut mid-pair delivers its dangling acquire (and the
-  /// following segment its leading release) per-event. Shared with the
-  /// indexed replay engine (TraceIndex::replayShard), so both engines
-  /// collapse the skeleton identically.
+  /// following segment its leading release) per-event. A run that fires
+  /// no boundary is one syncBatch after the controller's quiet test.
+  /// Shared with the indexed replay engine (TraceIndex::replayShard), so
+  /// both engines collapse the skeleton identically.
   static void deliverSyncPairRun(Detector &Target,
                                  SamplingController *Controller, ThreadId Tid,
                                  LockId Lock, uint64_t TotalEvents) {
@@ -201,14 +216,16 @@ public:
         }
       }
     };
+    if (!Controller || Controller->advanceQuietSyncRun(TotalEvents)) {
+      Deliver(TotalEvents);
+      return;
+    }
     while (true) {
       const uint64_t Left = TotalEvents - Accounted;
-      const uint64_t Fire =
-          Controller && Left ? Controller->syncRunBoundaryIndex(Left) : 0;
+      const uint64_t Fire = Controller->syncRunBoundaryIndex(Left);
       if (!Fire) {
         Deliver(TotalEvents);
-        if (Controller && Left)
-          Controller->advanceSyncRun(Left, Target); // Accounting only.
+        Controller->advanceSyncRun(Left, Target); // Accounting only.
         return;
       }
       const uint64_t StopPos = Accounted + Fire - 1;
@@ -268,15 +285,28 @@ public:
   }
 
 private:
-  /// Delivers one access run [\p Begin, \p End) of \p T as phase-pure
-  /// sub-spans split at the controller period boundaries located by
-  /// accessRunBoundaryIndex(). Following advanceAccessRun()'s contract,
-  /// the segment strictly before a boundary is delivered under the old
-  /// sampling state and the firing access re-joins the next segment under
-  /// the new one; the controller's counter and RNG streams are
-  /// bit-identical to a per-access beforeAction() loop.
-  void deliverRun(TraceSpan T, size_t Begin, size_t End,
+  /// Delivers one access run [\p Begin, \p End) of \p T, \p Writes of
+  /// whose accesses are writes. A run that fires no period boundary (the
+  /// controller's quiet test, one compare) goes to the detector whole:
+  /// through accessRun() with its write count when the detector takes
+  /// the count and \p Shard filters nothing, else through accessBatch().
+  /// A run that fires one is split into phase-pure accessBatch()
+  /// sub-spans at the boundaries accessRunBoundaryIndex() locates.
+  /// Following advanceAccessRun()'s contract, the segment
+  /// strictly before a boundary is delivered under the old sampling state
+  /// and the firing access re-joins the next segment under the new one;
+  /// the controller's counter and RNG streams are bit-identical to a
+  /// per-access beforeAction() loop.
+  void deliverRun(TraceSpan T, size_t Begin, size_t End, uint64_t Writes,
                   const AccessShard &Shard) {
+    const std::span<const Action> Run(T.data() + Begin, End - Begin);
+    if (!Controller || Controller->advanceQuietAccessRun(Run.size())) {
+      if (Shard.ownsAll() && D.takesRunWriteCounts())
+        D.accessRun(Run, Writes);
+      else
+        D.accessBatch(Run, Shard);
+      return;
+    }
     size_t SegBegin = Begin;
     auto Deliver = [&](size_t To) {
       if (SegBegin < To)
@@ -288,13 +318,11 @@ private:
     size_t Accounted = Begin;
     while (true) {
       const uint64_t Left = End - Accounted;
-      const uint64_t Fire =
-          Controller && Left ? Controller->accessRunBoundaryIndex(Left) : 0;
+      const uint64_t Fire = Controller->accessRunBoundaryIndex(Left);
       if (!Fire) {
         Deliver(End);
-        if (Controller && Left)
-          Controller->advanceAccessRun(Left, D); // No boundary: accounting
-                                                 // only, no toggle.
+        Controller->advanceAccessRun(Left, D); // No boundary: accounting
+                                               // only, no toggle.
         return;
       }
       const size_t StopPos = Accounted + static_cast<size_t>(Fire) - 1;
@@ -311,12 +339,9 @@ private:
     deliverSyncPairRun(D, Controller, Tid, Lock, TotalEvents);
   }
 
-  /// True once \p Tid has acted.
-  bool seen(ThreadId Tid) const { return Tid < Seen.size() && Seen[Tid]; }
-
   /// True exactly once per thread, at its first action.
   bool firstSight(ThreadId Tid) {
-    if (seen(Tid))
+    if (Tid < Seen.size() && Seen[Tid])
       return false;
     if (Tid >= Seen.size())
       Seen.resize(Tid + 1, 0);
@@ -328,7 +353,8 @@ private:
   SamplingController *Controller;
   bool SyncBatching;
   bool Started = false;
-  std::vector<uint8_t> Seen; // Bytes, not bits: seen() runs per access.
+  std::vector<uint8_t> Seen; // Bytes, not bits: the scan reads one per
+                             // access.
 };
 
 } // namespace pacer

@@ -50,90 +50,7 @@ void SamplingController::start(Detector &D) {
   }
 }
 
-bool SamplingController::beforeAction(ActionKind Kind, Detector &D) {
-  if (Kind == ActionKind::ThreadExit)
-    return false;
-
-  // Simulated allocation: base application bytes per analysed action, plus
-  // metadata bytes for accesses analysed while sampling.
-  NurseryBytes += Config.BaseBytesPerEvent;
-  if (Sampling && isAccessAction(Kind))
-    NurseryBytes += Config.MetadataBytesPerSampledAccess;
-
-  bool Boundary = false;
-  if (NurseryBytes >= Config.PeriodBytes) {
-    NurseryBytes -= Config.PeriodBytes;
-    ++Boundaries;
-    Boundary = true;
-
-    finishPeriod();
-    bool Next = Random.nextBool(entryProbability());
-    if (Sampling)
-      D.endSamplingPeriod();
-    Sampling = Next;
-    if (Sampling) {
-      ++SamplingPeriods;
-      D.beginSamplingPeriod();
-    }
-  }
-
-  // Effective-rate accounting covers the action about to execute.
-  if (isAccessAction(Kind)) {
-    ++AccessesTotal;
-    if (Sampling)
-      ++AccessesSampling;
-  } else if (isSyncAction(Kind)) {
-    ++SyncTotal;
-    ++PeriodSyncOps;
-    if (Sampling)
-      ++SyncSampling;
-  }
-  return Boundary;
-}
-
-SamplingController::AccessRunAdvance
-SamplingController::advanceAccessRun(uint64_t N, Detector &D) {
-  AccessRunAdvance Out;
-  if (N == 0)
-    return Out;
-
-  // Constant per-access charge while the sampling state is unchanged.
-  const uint64_t Charge =
-      Config.BaseBytesPerEvent +
-      (Sampling ? Config.MetadataBytesPerSampledAccess : 0);
-
-  // 1-based index of the access whose charge fills the nursery.
-  const uint64_t Need = NurseryBytes >= Config.PeriodBytes
-                            ? 0
-                            : Config.PeriodBytes - NurseryBytes;
-  uint64_t FiringIndex;
-  bool Fires;
-  if (Need == 0) {
-    FiringIndex = 1;
-    Fires = true;
-  } else if (Charge == 0) {
-    FiringIndex = N;
-    Fires = false;
-  } else {
-    FiringIndex = (Need + Charge - 1) / Charge;
-    Fires = FiringIndex <= N;
-    if (!Fires)
-      FiringIndex = N;
-  }
-
-  // Accesses strictly before the boundary (or the whole run) land in the
-  // current period.
-  const uint64_t Before = Fires ? FiringIndex - 1 : FiringIndex;
-  NurseryBytes += Charge * FiringIndex;
-  AccessesTotal += Before;
-  if (Sampling)
-    AccessesSampling += Before;
-  Out.Consumed = FiringIndex;
-  if (!Fires)
-    return Out;
-
-  // The firing access: replicate beforeAction's boundary block, then
-  // account the access itself in the *new* period.
+void SamplingController::fireBoundary(Detector &D) {
   NurseryBytes -= Config.PeriodBytes;
   ++Boundaries;
   finishPeriod();
@@ -145,69 +62,39 @@ SamplingController::advanceAccessRun(uint64_t N, Detector &D) {
     ++SamplingPeriods;
     D.beginSamplingPeriod();
   }
-  ++AccessesTotal;
-  if (Sampling)
-    ++AccessesSampling;
-  Out.Boundary = true;
-  return Out;
+}
+
+bool SamplingController::crossBoundaryAt(bool Access, Detector &D) {
+  // Simulated allocation: base application bytes per analysed action,
+  // plus metadata bytes for an access analysed while sampling. The quiet
+  // test failed, so this charge fills the nursery: the boundary fires
+  // before the action, which is then accounted in the new period.
+  NurseryBytes += charge(Access);
+  fireBoundary(D);
+  account(Access, 1);
+  return true;
 }
 
 SamplingController::AccessRunAdvance
-SamplingController::advanceSyncRun(uint64_t N, Detector &D) {
+SamplingController::advanceRun(bool Access, uint64_t N, Detector &D) {
+  // Constant per-action charge while the sampling state is unchanged.
+  const uint64_t Charge = charge(Access);
+  const uint64_t Fire = firingIndex(Charge, N);
+
+  // Actions strictly before the boundary (or the whole run) land in the
+  // current period; sync ops among them count toward the period average
+  // finishPeriod() snapshots.
   AccessRunAdvance Out;
-  if (N == 0)
+  Out.Consumed = Fire ? Fire : N;
+  NurseryBytes += Charge * Out.Consumed;
+  account(Access, Fire ? Fire - 1 : N);
+  if (!Fire)
     return Out;
 
-  // Sync ops charge base bytes in both period kinds; no metadata charge.
-  const uint64_t Charge = Config.BaseBytesPerEvent;
-
-  const uint64_t Need = NurseryBytes >= Config.PeriodBytes
-                            ? 0
-                            : Config.PeriodBytes - NurseryBytes;
-  uint64_t FiringIndex;
-  bool Fires;
-  if (Need == 0) {
-    FiringIndex = 1;
-    Fires = true;
-  } else if (Charge == 0) {
-    FiringIndex = N;
-    Fires = false;
-  } else {
-    FiringIndex = (Need + Charge - 1) / Charge;
-    Fires = FiringIndex <= N;
-    if (!Fires)
-      FiringIndex = N;
-  }
-
-  // Ops strictly before the boundary land in the current period; their
-  // work counts toward the period average finishPeriod() snapshots.
-  const uint64_t Before = Fires ? FiringIndex - 1 : FiringIndex;
-  NurseryBytes += Charge * FiringIndex;
-  SyncTotal += Before;
-  PeriodSyncOps += Before;
-  if (Sampling)
-    SyncSampling += Before;
-  Out.Consumed = FiringIndex;
-  if (!Fires)
-    return Out;
-
-  // The firing op: replicate beforeAction's boundary block, then account
-  // the op itself in the *new* period.
-  NurseryBytes -= Config.PeriodBytes;
-  ++Boundaries;
-  finishPeriod();
-  bool Next = Random.nextBool(entryProbability());
-  if (Sampling)
-    D.endSamplingPeriod();
-  Sampling = Next;
-  if (Sampling) {
-    ++SamplingPeriods;
-    D.beginSamplingPeriod();
-  }
-  ++SyncTotal;
-  ++PeriodSyncOps;
-  if (Sampling)
-    ++SyncSampling;
+  // The firing action: beforeAction's boundary, then the action itself,
+  // accounted in the *new* period.
+  fireBoundary(D);
+  account(Access, 1);
   Out.Boundary = true;
   return Out;
 }

@@ -64,8 +64,16 @@ public:
 
   /// Accounts for \p Kind and fires a period boundary when the simulated
   /// nursery fills, possibly toggling \p D's sampling state. Returns true
-  /// if a boundary (simulated GC) fired at this action.
-  bool beforeAction(ActionKind Kind, Detector &D);
+  /// if a boundary (simulated GC) fired at this action. An action that
+  /// fires none costs the inline compare-and-add of the quiet runs below.
+  bool beforeAction(ActionKind Kind, Detector &D) {
+    if (Kind == ActionKind::ThreadExit)
+      return false;
+    const bool Access = isAccessAction(Kind);
+    if (advanceQuiet(Access, 1))
+      return false;
+    return crossBoundaryAt(Access, D);
+  }
 
   /// Outcome of one advanceAccessRun() call.
   struct AccessRunAdvance {
@@ -83,24 +91,25 @@ public:
     bool Boundary = false;
   };
 
+  /// The case nearly every run takes: if a run of \p N accesses leaves
+  /// the nursery short of full, accounts it exactly as N
+  /// beforeAction(Read/Write) calls would and returns true. Otherwise it
+  /// changes nothing and returns false, and the caller locates and fires
+  /// the boundary with accessRunBoundaryIndex() and advanceAccessRun().
+  bool advanceQuietAccessRun(uint64_t N) { return advanceQuiet(true, N); }
+
+  /// The sync analogue of advanceQuietAccessRun(), for \p N
+  /// synchronization ops (fallback: syncRunBoundaryIndex() and
+  /// advanceSyncRun()).
+  bool advanceQuietSyncRun(uint64_t N) { return advanceQuiet(false, N); }
+
   /// 1-based index, within a run of \p N pending accesses, of the access
   /// whose charge would fire the next period boundary; 0 if no boundary
-  /// fires within the run. Pure query, the bulk analogue of
-  /// boundaryImminent(): advanceAccessRun(N, D) will report Boundary
-  /// exactly when this returns nonzero, with Consumed equal to it.
+  /// fires within the run. Pure query: advanceAccessRun(N, D) will report
+  /// Boundary exactly when this returns nonzero, with Consumed equal to
+  /// it.
   uint64_t accessRunBoundaryIndex(uint64_t N) const {
-    if (N == 0)
-      return 0;
-    const uint64_t Charge =
-        Config.BaseBytesPerEvent +
-        (Sampling ? Config.MetadataBytesPerSampledAccess : 0);
-    if (NurseryBytes >= Config.PeriodBytes)
-      return 1;
-    const uint64_t Need = Config.PeriodBytes - NurseryBytes;
-    if (Charge == 0)
-      return 0;
-    const uint64_t FiringIndex = (Need + Charge - 1) / Charge;
-    return FiringIndex <= N ? FiringIndex : 0;
+    return firingIndex(charge(/*Access=*/true), N);
   }
 
   /// Bulk equivalent of up to \p N consecutive beforeAction(Read/Write)
@@ -111,8 +120,11 @@ public:
   /// boundary (the sampling state may have toggled, changing the charge);
   /// call repeatedly until the run's accesses are all consumed. The
   /// counter, boundary, and RNG streams are bit-identical to the
-  /// per-action loop for every (N, state) -- TraceIndexTest locks this in.
-  AccessRunAdvance advanceAccessRun(uint64_t N, Detector &D);
+  /// per-action loop for every (N, state) -- SamplingControllerTest locks
+  /// this in.
+  AccessRunAdvance advanceAccessRun(uint64_t N, Detector &D) {
+    return advanceRun(/*Access=*/true, N, D);
+  }
 
   /// 1-based index, within a run of \p N pending synchronization
   /// operations, of the op whose charge would fire the next period
@@ -121,16 +133,7 @@ public:
   /// analysed in both period kinds and allocate no access metadata), so
   /// the charge is phase-independent.
   uint64_t syncRunBoundaryIndex(uint64_t N) const {
-    if (N == 0)
-      return 0;
-    if (NurseryBytes >= Config.PeriodBytes)
-      return 1;
-    const uint64_t Charge = Config.BaseBytesPerEvent;
-    if (Charge == 0)
-      return 0;
-    const uint64_t Need = Config.PeriodBytes - NurseryBytes;
-    const uint64_t FiringIndex = (Need + Charge - 1) / Charge;
-    return FiringIndex <= N ? FiringIndex : 0;
+    return firingIndex(charge(/*Access=*/false), N);
   }
 
   /// Bulk equivalent of up to \p N consecutive beforeAction(Acquire/
@@ -139,21 +142,8 @@ public:
   /// (ops before the boundary land in the old period, the firing op in the
   /// new one, after the toggle). Counter, boundary, and RNG streams are
   /// bit-identical to the per-action loop.
-  AccessRunAdvance advanceSyncRun(uint64_t N, Detector &D);
-
-  /// True iff the next beforeAction(\p Kind, ...) call would fire a period
-  /// boundary. Pure query, mirrors beforeAction's charge computation.
-  /// Per-action callers (Runtime::step loops) use it to flush pending
-  /// work before the boundary toggles the detector's sampling state; the
-  /// batch engines use accessRunBoundaryIndex(), its closed-form run
-  /// analogue, instead.
-  bool boundaryImminent(ActionKind Kind) const {
-    if (Kind == ActionKind::ThreadExit)
-      return false;
-    uint64_t Charge = Config.BaseBytesPerEvent;
-    if (Sampling && isAccessAction(Kind))
-      Charge += Config.MetadataBytesPerSampledAccess;
-    return NurseryBytes + Charge >= Config.PeriodBytes;
+  AccessRunAdvance advanceSyncRun(uint64_t N, Detector &D) {
+    return advanceRun(/*Access=*/false, N, D);
   }
 
   /// Fraction of data accesses that fell inside sampling periods: the
@@ -178,6 +168,70 @@ public:
   uint64_t seed() const { return Seed; }
 
 private:
+  /// Bytes one analysed action charges: base bytes, plus metadata bytes
+  /// for an access inside a sampling period.
+  uint64_t charge(bool Access) const {
+    return Config.BaseBytesPerEvent +
+           (Access && Sampling ? Config.MetadataBytesPerSampledAccess : 0);
+  }
+
+  /// 1-based index, within \p N actions charging \p Charge bytes each,
+  /// of the one whose charge fills the nursery; 0 if none does. The
+  /// ceiling ceil(Need / Charge) is taken as (Need - 1) / Charge + 1, which
+  /// cannot wrap however close PeriodBytes is to 2^64.
+  uint64_t firingIndex(uint64_t Charge, uint64_t N) const {
+    if (N == 0)
+      return 0;
+    if (NurseryBytes >= Config.PeriodBytes)
+      return 1;
+    if (Charge == 0)
+      return 0;
+    const uint64_t Need = Config.PeriodBytes - NurseryBytes;
+    const uint64_t Index = (Need - 1) / Charge + 1;
+    return Index <= N ? Index : 0;
+  }
+
+  /// Effective-rate and bias-correction accounting for \p N accesses
+  /// (\p Access) or synchronization ops in the current period. Every
+  /// accounted action is one or the other: beforeAction() drops
+  /// ThreadExit first.
+  void account(bool Access, uint64_t N) {
+    if (Access) {
+      AccessesTotal += N;
+      AccessesSampling += Sampling ? N : 0;
+    } else {
+      SyncTotal += N;
+      PeriodSyncOps += N;
+      SyncSampling += Sampling ? N : 0;
+    }
+  }
+
+  /// The no-boundary test and accounting behind the quiet runs and
+  /// beforeAction(): one compare of Charge * N against the nursery's
+  /// headroom, no division. A product that would overflow 64 bits counts
+  /// as a boundary, for the closed-form path to locate.
+  bool advanceQuiet(bool Access, uint64_t N) {
+    uint64_t Bytes;
+    if (NurseryBytes >= Config.PeriodBytes ||
+        __builtin_mul_overflow(charge(Access), N, &Bytes) ||
+        Bytes >= Config.PeriodBytes - NurseryBytes)
+      return false;
+    NurseryBytes += Bytes;
+    account(Access, N);
+    return true;
+  }
+
+  /// beforeAction() for an action whose charge fills the nursery.
+  bool crossBoundaryAt(bool Access, Detector &D);
+
+  /// advanceAccessRun() (\p Access) and advanceSyncRun().
+  AccessRunAdvance advanceRun(bool Access, uint64_t N, Detector &D);
+
+  /// The period boundary itself: empties the nursery, records the
+  /// finished period's work, and draws the next period's kind, toggling
+  /// \p D when it changes.
+  void fireBoundary(Detector &D);
+
   /// Probability of entering a sampling period at the next boundary.
   double entryProbability() const;
 

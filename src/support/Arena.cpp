@@ -19,8 +19,6 @@ using namespace pacer;
 
 namespace {
 
-thread_local Arena *CurrentArena = nullptr;
-
 size_t roundUp16(size_t Bytes) { return (Bytes + 15) & ~size_t(15); }
 
 // The process-wide pool of default-size slabs whose arena died, linked
@@ -51,11 +49,6 @@ char *takeSlab(size_t Bytes) {
 }
 
 } // namespace
-
-Arena *Arena::current() { return CurrentArena; }
-
-Arena::Scope::Scope(Arena *A) : Prev(CurrentArena) { CurrentArena = A; }
-Arena::Scope::~Scope() { CurrentArena = Prev; }
 
 Arena::~Arena() {
   for (const Slab &S : Slabs)
@@ -132,7 +125,7 @@ void Arena::reset() {
 }
 
 void *Arena::allocBlock(size_t Bytes) {
-  if (Arena *A = CurrentArena)
+  if (Arena *A = Current)
     return A->allocate(Bytes);
   const size_t Payload = roundUp16(Bytes < MinBlockBytes ? MinBlockBytes
                                                          : Bytes);

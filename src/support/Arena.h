@@ -76,7 +76,7 @@ public:
   uint64_t slabAllocations() const { return SlabAllocs; }
 
   /// The arena bound to the current thread (null if none).
-  static Arena *current();
+  static Arena *current() { return Current; }
 
   /// Allocates a block of at least \p Bytes from the current thread's
   /// bound arena, falling back to the global heap when none is bound
@@ -92,8 +92,8 @@ public:
   /// previous binding on destruction). Pass null to run unbound.
   class Scope {
   public:
-    explicit Scope(Arena *A);
-    ~Scope();
+    explicit Scope(Arena *A) : Prev(Current) { Current = A; }
+    ~Scope() { Current = Prev; }
     Scope(const Scope &) = delete;
     Scope &operator=(const Scope &) = delete;
 
@@ -102,6 +102,11 @@ public:
   };
 
 private:
+  /// The current thread's binding. Defined inline, so a Scope costs two
+  /// thread-local moves where it is used, not two calls into Arena.cpp:
+  /// every detector hook opens one.
+  static inline constinit thread_local Arena *Current = nullptr;
+
   /// Precedes every block payload; 16 bytes keeps payloads 16-aligned.
   struct BlockHeader {
     Arena *Owner;   // Null: global-heap fallback block.

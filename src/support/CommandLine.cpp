@@ -170,6 +170,16 @@ bool OptionRegistry::intInRange(const std::string &Name, int64_t Min,
   return false;
 }
 
+bool OptionRegistry::doubleInRange(const std::string &Name, double Min,
+                                   double Max) const {
+  const double Value = getDouble(Name);
+  if (Value >= Min && Value <= Max)
+    return true;
+  std::fprintf(stderr, "error: --%s=%g out of range [%g, %g]\n", Name.c_str(),
+               Value, Min, Max);
+  return false;
+}
+
 double OptionRegistry::getDouble(const std::string &Name) const {
   const Option *O = findOption(Name);
   if (!O)

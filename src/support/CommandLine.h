@@ -96,6 +96,10 @@ public:
   /// 2). Lets a tool reject a value before a narrowing cast wraps it.
   bool intInRange(const std::string &Name, int64_t Min, int64_t Max) const;
 
+  /// The double-valued counterpart of intInRange(): true if option
+  /// \p Name lies in [Min, Max]. NaN lies in no range.
+  bool doubleInRange(const std::string &Name, double Min, double Max) const;
+
   /// True if the flag was explicitly provided on the command line.
   bool has(const std::string &Name) const;
 

@@ -113,9 +113,11 @@ inline void replayInto(Detector &D, const Trace &T) {
   RT.replay(T);
 }
 
-/// Wraps a detector so its virtual accessBatch falls back to the base
-/// class's per-access read()/write() loop -- the reference every batch
-/// path must match -- bypassing the detector's own override.
+/// Wraps a detector so both batch entry points, accessBatch and
+/// accessRun, fall back to the base class's per-access read()/write()
+/// loop -- the reference every batch path must match -- bypassing the
+/// detector's own overrides. accessRun ignores the replay scan's write
+/// count, so a miscounted run shows as a stats mismatch.
 template <typename Base> class ForceDefaultBatch final : public Base {
 public:
   using Base::Base;
@@ -123,6 +125,9 @@ public:
   void accessBatch(std::span<const Action> Batch,
                    const AccessShard &Shard) override {
     this->Detector::accessBatch(Batch, Shard);
+  }
+  void accessRun(std::span<const Action> Run, uint64_t) override {
+    this->Detector::accessBatch(Run, AccessShard::all());
   }
 };
 

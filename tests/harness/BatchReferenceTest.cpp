@@ -28,11 +28,18 @@
 // acquire/release pair runs, is held to per-event delivery the same way,
 // and each of the two batch paths is also checked with the other off.
 //
+// PACER takes whole runs through accessRun with the replay scan's write
+// count, which its cold kernel trusts; ForceDefaultBatch ignores it. The
+// edge cases of that count get their own tests: a hit that empties the
+// var table mid-run, a first sight that splits a run, periods short
+// enough to cut runs at every offset, and a one-action stream window.
+//
 //===----------------------------------------------------------------------===//
 
 #include "runtime/AnalysisSession.h"
 
 #include "detectors/GenericDetector.h"
+#include "detectors/PacerDetector.h"
 #include "runtime/Runtime.h"
 #include "runtime/ShardedReplay.h"
 #include "sim/TraceGenerator.h"
@@ -273,7 +280,123 @@ void expectSetupsMatchReference(const NamedSetups &Setups, Input In) {
     std::remove(Path.c_str());
 }
 
+/// Replays \p Sampled inside a sampling period and then \p Cold outside
+/// one, through one controller-free Runtime, on PACER and on its
+/// per-access reference. Every cold access run reaches PACER whole,
+/// through accessRun with the scan's write count. Returns PACER's stats
+/// after checking that both sides agree on stats, reports and metadata.
+DetectorStats expectPhasedReplayMatchesReference(const Trace &Sampled,
+                                                 const Trace &Cold) {
+  CollectingSink GotSink, WantSink;
+  PacerDetector Got(GotSink);
+  ForceDefaultBatch<PacerDetector> Want(WantSink);
+  for (PacerDetector *D : {&Got, static_cast<PacerDetector *>(&Want)}) {
+    Runtime RT(*D);
+    D->beginSamplingPeriod();
+    EXPECT_EQ(RT.replayChunk(Sampled, AccessShard::all()), Sampled.size());
+    D->endSamplingPeriod();
+    EXPECT_EQ(RT.replayChunk(Cold, AccessShard::all()), Cold.size());
+  }
+  EXPECT_TRUE(sameStats(Got.stats(), Want.stats()));
+  std::vector<std::string> GotReports, WantReports;
+  for (const RaceReport &R : GotSink.Reports)
+    GotReports.push_back(R.str());
+  for (const RaceReport &R : WantSink.Reports)
+    WantReports.push_back(R.str());
+  EXPECT_EQ(GotReports, WantReports);
+  EXPECT_EQ(Got.trackedVariableCount(), Want.trackedVariableCount());
+  EXPECT_EQ(Got.liveMetadataBytes(), Want.liveMetadataBytes());
+  return Got.stats();
+}
+
 } // namespace
+
+TEST(ColdPathEquivalenceTest, HitThatEmptiesTheTableMidRun) {
+  // Thread 0 leaves write epochs on vars 5 and 6 while sampling. Thread
+  // 1's one cold run then hits both: its write to var 6 erases one entry
+  // and its write to var 5 the last, with accesses on either side, so the
+  // miss count must come out of the scan's write count minus the hits.
+  const Trace Sampled =
+      TraceBuilder().write(0, 5).write(0, 6).acq(1, 0).rel(1, 0).take();
+  const Trace Cold = TraceBuilder()
+                         .read(1, 7)
+                         .write(1, 6)
+                         .read(1, 5)
+                         .write(1, 8)
+                         .write(1, 5)
+                         .read(1, 5)
+                         .write(1, 9)
+                         .read(1, 6)
+                         .take();
+  const DetectorStats Stats =
+      expectPhasedReplayMatchesReference(Sampled, Cold);
+  EXPECT_EQ(Stats.WriteSlowNonSampling, 2u);
+  EXPECT_EQ(Stats.ReadSlowNonSampling, 1u);
+  EXPECT_EQ(Stats.WriteFastNonSampling, 2u);
+  EXPECT_EQ(Stats.ReadFastNonSampling, 3u);
+}
+
+TEST(ColdPathEquivalenceTest, FirstSightSplitsAColdRun) {
+  // Thread 2 first acts in the middle of thread 1's accesses, so the scan
+  // cuts the run there: threadBegin comes between the two halves, and
+  // each half carries its own write count.
+  const Trace Sampled =
+      TraceBuilder().write(0, 5).write(0, 6).acq(1, 0).rel(1, 0).take();
+  const Trace Cold = TraceBuilder()
+                         .read(1, 7)
+                         .read(1, 5)
+                         .write(2, 6)
+                         .write(1, 8)
+                         .write(1, 5)
+                         .read(2, 5)
+                         .write(2, 9)
+                         .take();
+  const DetectorStats Stats =
+      expectPhasedReplayMatchesReference(Sampled, Cold);
+  EXPECT_EQ(Stats.coldAccesses(), Cold.size());
+  EXPECT_EQ(Stats.WriteSlowNonSampling, 2u);
+}
+
+TEST(ColdPathEquivalenceTest, BoundariesSplitRunsAtEveryOffset) {
+  // Periods of 1 to a few hundred bytes fire a boundary every one to a
+  // few actions, so runs are cut at every offset and few arrive whole.
+  CompiledWorkload Workload(mediumTestWorkload());
+  const uint64_t Seed = 37;
+  Trace T = generateTrace(Workload, Seed);
+  for (uint64_t PeriodBytes : {1u, 40u, 100u, 333u}) {
+    for (double Rate : {0.03, 0.5}) {
+      DetectorSetup Setup = pacerSetup(Rate);
+      Setup.Sampling.PeriodBytes = PeriodBytes;
+      const AnalysisRequest Request =
+          requestFor(Setup, /*Shards=*/1, /*UseIndex=*/false, Seed);
+      expectSameAnalysis(AnalysisSession(Workload, Request).analyzeTrace(T),
+                         referenceAnalysis(Workload, Request, T),
+                         "period " + std::to_string(PeriodBytes) + " rate " +
+                             std::to_string(Rate));
+    }
+  }
+}
+
+TEST(ColdPathEquivalenceTest, StreamWindowOfOne) {
+  // A one-action window hands the replay one record per chunk, so every
+  // access run is one access long and ends at a chunk edge.
+  CompiledWorkload Workload(mediumTestWorkload());
+  const uint64_t Seed = 41;
+  Trace T = generateTrace(Workload, Seed);
+  const std::string Path =
+      ::testing::TempDir() + "/pacer_stream_window_one.btrace";
+  ASSERT_TRUE(writeTraceFileBinary(Path, T));
+  for (const auto &[Name, Setup] : coldSetups()) {
+    AnalysisRequest Request =
+        requestFor(Setup, /*Shards=*/1, /*UseIndex=*/false, Seed);
+    const AnalysisResult Reference = referenceAnalysis(Workload, Request, T);
+    Request.Stream = true;
+    Request.StreamWindow = 1;
+    expectSameAnalysis(AnalysisSession(Workload, Request).analyzeFile(Path),
+                       Reference, Name + " window 1");
+  }
+  std::remove(Path.c_str());
+}
 
 TEST(ColdPathEquivalenceTest, ColdKernelsBitIdenticalOnTraces) {
   expectSetupsMatchReference(coldSetups(), Input::InMemory);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -260,6 +261,37 @@ TEST(RuntimeTest, ReplayMatchesStepLoopHookOrder) {
           << "first difference at hook " << (Diff.first - D.Calls.begin())
           << " of " << Expected.size();
     }
+  }
+}
+
+TEST(RuntimeTest, ReplayMatchesStepLoopNearMaxPeriod) {
+  // A nursery within one charge of 2^64 never fills in a trace this
+  // short, so no boundary may fire on either path. Taking the run's
+  // firing index as (Need + Charge - 1) / Charge wrapped there, and
+  // replay() fired boundaries that the per-action loop never fires.
+  const Trace T =
+      generateTrace(CompiledWorkload(scaleWorkload(forkJoinModel(), 0.05)), 1);
+  SamplingConfig Config;
+  Config.TargetRate = 0.5;
+  Config.PeriodBytes = UINT64_MAX - 4;
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("controller seed " + std::to_string(Seed));
+    NullRaceSink Sink;
+    RecordingDetector Stepped(Sink, /*Lifecycle=*/true);
+    RecordingDetector Replayed(Sink, /*Lifecycle=*/true);
+    SamplingController StepController(Config, Seed);
+    SamplingController ReplayController(Config, Seed);
+    Runtime StepRT(Stepped, &StepController);
+    StepRT.start();
+    for (const Action &A : T)
+      StepRT.step(A);
+    Runtime ReplayRT(Replayed, &ReplayController);
+    EXPECT_EQ(ReplayRT.replay(T), T.size());
+    EXPECT_EQ(StepController.boundaryCount(), 0u);
+    EXPECT_EQ(ReplayController.boundaryCount(), 0u);
+    EXPECT_EQ(ReplayController.effectiveAccessRate(),
+              StepController.effectiveAccessRate());
+    EXPECT_TRUE(Replayed.Calls == Stepped.Calls);
   }
 }
 

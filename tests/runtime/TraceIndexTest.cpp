@@ -1,20 +1,16 @@
 //===- tests/runtime/TraceIndexTest.cpp -----------------------------------==//
 //
-// The TraceIndex's structural contract -- the sync skeleton reproduces the
+// The TraceIndex's structural contract: the sync skeleton reproduces the
 // trace's non-access positions and thread first-sight points exactly, and
-// the per-shard owned runs are an exact partition of the trace's accesses
-// -- plus the SamplingController bulk advance: advanceAccessRun must be
-// bit-identical to the per-action beforeAction loop for every run length,
-// nursery fill, and sampling state, since the indexed replay path rests
-// entirely on that equivalence.
+// the per-shard owned runs are an exact partition of the trace's accesses.
+// (The controller's bulk advance, which the indexed replay path also rests
+// on, is held to the per-action loop in SamplingControllerTest.)
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/SamplingController.h"
 #include "runtime/TraceIndex.h"
 #include "sim/TraceGenerator.h"
 #include "sim/Workloads.h"
-#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -100,85 +96,6 @@ void expectWellFormedIndex(const Trace &T, unsigned Shards) {
   EXPECT_EQ(Index.accessCount(), countTraceAccesses(T));
 }
 
-/// Records the exact sbegin/send sequence a controller drives.
-class SamplingProbe final : public Detector {
-public:
-  explicit SamplingProbe(RaceSink &Sink) : Detector(Sink) {}
-  const char *name() const override { return "probe"; }
-  void fork(ThreadId, ThreadId) override {}
-  void join(ThreadId, ThreadId) override {}
-  void acquire(ThreadId, LockId) override {}
-  void release(ThreadId, LockId) override {}
-  void volatileRead(ThreadId, VolatileId) override {}
-  void volatileWrite(ThreadId, VolatileId) override {}
-  void read(ThreadId, VarId, SiteId) override {}
-  void write(ThreadId, VarId, SiteId) override {}
-  size_t liveMetadataBytes() const override { return 0; }
-  void beginSamplingPeriod() override { Toggles.push_back(+1); }
-  void endSamplingPeriod() override { Toggles.push_back(-1); }
-
-  std::vector<int> Toggles;
-};
-
-/// Drives two identically seeded controllers over the same schedule of
-/// access runs separated by sync actions -- one per action, one in bulk --
-/// and demands bit-identical boundaries, toggles, and counters.
-void expectBulkAdvanceMatchesLoop(const SamplingConfig &Config,
-                                  uint64_t Seed) {
-  SamplingController Seq(Config, Seed);
-  SamplingController Bulk(Config, Seed);
-  NullRaceSink SinkA, SinkB;
-  SamplingProbe A(SinkA), B(SinkB);
-  Seq.start(A);
-  Bulk.start(B);
-
-  std::vector<uint64_t> SeqBoundaries, BulkBoundaries;
-  Rng Lengths(Seed ^ 0x52554e53u /*"RUNS"*/);
-  uint64_t PosSeq = 0, PosBulk = 0;
-  for (int Block = 0; Block < 120; ++Block) {
-    const uint64_t N = Lengths.nextInRange(0, 300);
-
-    for (uint64_t I = 0; I < N; ++I) {
-      if (Seq.beforeAction(ActionKind::Read, A))
-        SeqBoundaries.push_back(PosSeq);
-      ++PosSeq;
-    }
-    if (Seq.beforeAction(ActionKind::Acquire, A))
-      SeqBoundaries.push_back(PosSeq);
-    ++PosSeq;
-
-    uint64_t Left = N;
-    while (Left > 0) {
-      const uint64_t Predicted = Bulk.accessRunBoundaryIndex(Left);
-      SamplingController::AccessRunAdvance Adv =
-          Bulk.advanceAccessRun(Left, B);
-      ASSERT_GE(Adv.Consumed, 1u);
-      ASSERT_LE(Adv.Consumed, Left);
-      ASSERT_EQ(Adv.Boundary, Predicted != 0);
-      if (Adv.Boundary) {
-        ASSERT_EQ(Adv.Consumed, Predicted);
-      }
-      Left -= Adv.Consumed;
-      PosBulk += Adv.Consumed;
-      if (Adv.Boundary)
-        BulkBoundaries.push_back(PosBulk - 1);
-      else
-        ASSERT_EQ(Left, 0u) << "only a boundary may end an advance early";
-    }
-    if (Bulk.beforeAction(ActionKind::Acquire, B))
-      BulkBoundaries.push_back(PosBulk);
-    ++PosBulk;
-  }
-
-  EXPECT_EQ(SeqBoundaries, BulkBoundaries);
-  EXPECT_EQ(A.Toggles, B.Toggles);
-  EXPECT_EQ(Seq.boundaryCount(), Bulk.boundaryCount());
-  EXPECT_EQ(Seq.samplingPeriods(), Bulk.samplingPeriods());
-  EXPECT_EQ(Seq.isSampling(), Bulk.isSampling());
-  EXPECT_EQ(Seq.effectiveAccessRate(), Bulk.effectiveAccessRate());
-  EXPECT_EQ(Seq.effectiveSyncRate(), Bulk.effectiveSyncRate());
-}
-
 } // namespace
 
 TEST(TraceIndexTest, WellFormedOnTinyWorkload) {
@@ -205,32 +122,6 @@ TEST(TraceIndexTest, WellFormedOnEmptyAndAccessFreeTraces) {
   T.push_back(Action{ActionKind::Release, /*Tid=*/0, /*Target=*/0,
                      /*Site=*/0});
   expectWellFormedIndex(T, 3);
-}
-
-TEST(TraceIndexTest, BulkControllerAdvanceMatchesPerActionLoop) {
-  SamplingConfig Config;
-  Config.TargetRate = 0.5;
-  Config.PeriodBytes = 4096;
-  expectBulkAdvanceMatchesLoop(Config, /*Seed=*/11);
-  expectBulkAdvanceMatchesLoop(Config, /*Seed=*/12);
-
-  // Low rate, small periods: frequent boundaries, rare sampling entry.
-  Config.TargetRate = 0.03;
-  Config.PeriodBytes = 2048;
-  expectBulkAdvanceMatchesLoop(Config, /*Seed=*/13);
-
-  // Pathologically small period: a boundary at (nearly) every access,
-  // exercising the Need == 0 carry-over path.
-  Config.TargetRate = 0.25;
-  Config.PeriodBytes = 64;
-  expectBulkAdvanceMatchesLoop(Config, /*Seed=*/14);
-
-  // Zero charge: the nursery never fills, runs consume in one call.
-  Config.TargetRate = 0.5;
-  Config.PeriodBytes = 4096;
-  Config.BaseBytesPerEvent = 0;
-  Config.MetadataBytesPerSampledAccess = 0;
-  expectBulkAdvanceMatchesLoop(Config, /*Seed=*/15);
 }
 
 TEST(TraceIndexTest, AutoShardCountScalesWithAccessesAndCaps) {

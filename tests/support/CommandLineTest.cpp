@@ -133,6 +133,20 @@ TEST(OptionRegistryTest, IntInRange) {
   EXPECT_FALSE(R.intInRange("trials", -5, -2));
 }
 
+TEST(OptionRegistryTest, DoubleInRangeRejectsNaNAndInfinity) {
+  for (const char *Bad : {"--rate=nan", "--rate=-1", "--rate=inf",
+                          "--rate=1.5", "--rate=-inf"}) {
+    OptionRegistry R = sampleRegistry();
+    EXPECT_TRUE(parseInto(R, {Bad}));
+    EXPECT_FALSE(R.doubleInRange("rate", 0.0, 1.0)) << Bad;
+  }
+  for (const char *Good : {"--rate=0", "--rate=1", "--rate=0.03"}) {
+    OptionRegistry R = sampleRegistry();
+    EXPECT_TRUE(parseInto(R, {Good}));
+    EXPECT_TRUE(R.doubleInRange("rate", 0.0, 1.0)) << Good;
+  }
+}
+
 TEST(OptionRegistryTest, LastOccurrenceWins) {
   OptionRegistry R = sampleRegistry();
   EXPECT_TRUE(parseInto(R, {"--trials=1", "--trials=2"}));

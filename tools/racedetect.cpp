@@ -43,6 +43,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -172,7 +173,9 @@ std::string statsTable(const DetectorStats &Stats) {
                 std::to_string(Stats.WriteSlowNonSampling)});
   Table.addRow({"fast-path writes", "-",
                 std::to_string(Stats.WriteFastNonSampling)});
-  return "\n" + Table.render();
+  std::string Out = "\n";
+  Out += Table.render();
+  return Out;
 }
 
 /// Everything analyseFile prints for one trace file.
@@ -384,10 +387,15 @@ int main(int Argc, char **Argv) {
   OptionRegistry R = buildRegistry();
   if (!R.parse(Argc, Argv))
     return R.helpRequested() ? 0 : 2;
+  // Reject values that a cast below would wrap (a negative nursery size
+  // or burst length) or that no detector can honour, before any work.
   if (!R.intInRange("tcp-port", -1, 65535) ||
       !R.intInRange("stream-window", 1,
                     static_cast<int64_t>(
-                        StreamingTraceReader::MaxWindowActions)))
+                        StreamingTraceReader::MaxWindowActions)) ||
+      !R.doubleInRange("rate", 0.0, 1.0) ||
+      !R.intInRange("period-bytes", 1, INT64_MAX) ||
+      !R.intInRange("burst", 1, UINT32_MAX))
     return 2;
 
   if (R.getBool("cpu-info"))

@@ -119,7 +119,10 @@ int main(int Argc, char **Argv) {
       !R.intInRange("recv-timeout-ms", 1, INT_MAX) ||
       !R.intInRange("stream-window", 1,
                     static_cast<int64_t>(
-                        StreamingTraceReader::MaxWindowActions)))
+                        StreamingTraceReader::MaxWindowActions)) ||
+      !R.doubleInRange("rate", 0.0, 1.0) ||
+      !R.intInRange("period-bytes", 1, INT64_MAX) ||
+      !R.intInRange("burst", 1, UINT32_MAX))
     return 2;
 
   IngestServer::Config Config;
