@@ -321,10 +321,16 @@ public:
   void join(ThreadId, ThreadId) override {}
   void acquire(ThreadId, LockId) override {}
   void release(ThreadId, LockId) override {}
+  void syncBatch(ThreadId, LockId, uint64_t) override {}
   void volatileRead(ThreadId, VolatileId) override {}
   void volatileWrite(ThreadId, VolatileId) override {}
   void read(ThreadId, VarId, SiteId) override {}
   void write(ThreadId, VarId, SiteId) override {}
+  // Empty batch hooks too: the overhead experiments divide by this
+  // detector's replay time, which must take the batch path every real
+  // detector takes.
+  using Detector::accessBatch;
+  void accessBatch(std::span<const Action>, const AccessShard &) override {}
   size_t liveMetadataBytes() const override { return 0; }
 };
 

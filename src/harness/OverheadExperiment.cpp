@@ -73,6 +73,12 @@ pacer::measureOverheads(const CompiledWorkload &Workload,
         std::optional<TraceIndex> Index;
         if (SharedIndexShards != 0)
           Index.emplace(TraceIndex::build(T, SharedIndexShards));
+        // One untimed replay first: the first pass over a freshly
+        // generated trace pays to bring it into cache (20-40% of a null
+        // replay on eclipse), which would otherwise be charged to the
+        // configuration timed first -- the base every slowdown divides by.
+        AnalysisSession(Workload, {.Setup = nullSetup(), .Seed = Seed})
+            .analyzeTrace(T);
         TrialSeconds Out;
         Out.Events = T.size();
         Out.PerConfig.reserve(Active->size());

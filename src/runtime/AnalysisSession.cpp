@@ -346,8 +346,8 @@ AnalysisResult AnalysisSession::analyzeFile(const std::string &Path) const {
 
 AnalysisResult
 AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
-  // In-memory mode: binary traces analyse from an mmap view (zero-copy
-  // where the platform allows); text traces parse into a Trace.
+  // In-memory mode: a binary trace analyses from an mmap view (zero-copy
+  // where the platform allows); the view loads any other trace.
   AnalysisResult Result;
   auto Fail = [&](const std::string &Why) {
     Result.Ok = false;
@@ -355,26 +355,11 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
     return Result;
   };
 
-  TraceFormat Format;
-  std::string DetectError;
-  if (!detectTraceFileFormat(Path, Format, DetectError))
-    return Fail(DetectError);
-
-  TraceView View;
-  TraceParseResult Parsed;
-  TraceSpan T;
   auto LoadStart = Clock::now();
-  if (Format == TraceFormat::Binary) {
-    View = TraceView::map(Path);
-    if (!View.ok())
-      return Fail(View.error());
-    T = View.actions();
-  } else {
-    Parsed = readTraceFile(Path);
-    if (!Parsed.Ok)
-      return Fail(Parsed.Error);
-    T = Parsed.T;
-  }
+  const TraceView View = TraceView::map(Path);
+  if (!View.ok())
+    return Fail(View.error());
+  const TraceSpan T = View.actions();
   double LoadSeconds = secondsSince(LoadStart);
 
   // Auto resolution reads only kind bytes, so it may run before the
@@ -388,12 +373,12 @@ AnalysisSession::analyzeFileInMemory(const std::string &Path) const {
   }
   double IndexSeconds = secondsSince(CountStart);
 
-  // The parser checked a text trace's records. A mapped trace's records
-  // are checked by the sequential replay as it segments them; the index
-  // build, the sharded engines, LiteRace's sampler plan and the
-  // escape-analysis filter read records before or without that scan, so
-  // those paths check the whole span first.
-  if (Format == TraceFormat::Binary &&
+  // A loaded trace's records were checked as they were read. A mapped
+  // trace's records are checked by the sequential replay as it segments
+  // them; the index build, the sharded engines, LiteRace's sampler plan
+  // and the escape-analysis filter read records before or without that
+  // scan, so those paths check the whole span first.
+  if (View.mapped() &&
       (ResolvedShards > 1 || Request.Setup.ElideLocalAccesses)) {
     auto CheckStart = Clock::now();
     const char *Why = nullptr;
@@ -437,13 +422,7 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
     return Result;
   };
 
-  TraceFormat Format;
-  std::string DetectError;
-  if (!detectTraceFileFormat(Path, Format, DetectError))
-    return Fail(DetectError);
-
-  const size_t StreamWindow = Request.StreamWindow < 1 ? 1
-                                                       : Request.StreamWindow;
+  const size_t StreamWindow = Request.StreamWindow; // The reader clamps it.
   unsigned ResolvedShards = Request.Setup.Shards;
   double LoadSeconds = 0, IndexSeconds = 0;
 
@@ -462,17 +441,21 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
     noteAutoShards(Result, ResolvedShards, Accesses);
   }
 
+  auto Start = Clock::now();
+  StreamingTraceReader Reader(Path, StreamWindow);
+  if (!Reader.ok())
+    return Fail(Reader.error());
   TraceView View; // Must outlive the replayed span.
   bool Sequential = ResolvedShards <= 1 || Request.Setup.ElideLocalAccesses;
   if (!Sequential) {
-    if (Format == TraceFormat::Binary) {
+    if (Reader.format() == TraceFormat::Binary) {
       // Mapped only: the streamed index build below checks every record
       // before the sharded replay reads the mapping.
-      auto Start = Clock::now();
+      auto MapStart = Clock::now();
       View = TraceView::map(Path);
       if (!View.ok())
         return Fail(View.error());
-      LoadSeconds = secondsSince(Start);
+      LoadSeconds = secondsSince(MapStart);
       if (!View.mapped()) {
         // Buffered fallback materializes the trace; stay sequential to
         // honour the bounded-memory request.
@@ -490,8 +473,7 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
 
   if (!Sequential) {
     // Streamed index build: one bounded pass feeds the sharded engine.
-    auto Start = Clock::now();
-    StreamingTraceReader Reader(Path, StreamWindow);
+    auto IndexStart = Clock::now();
     TraceIndex::Builder Builder(ResolvedShards);
     for (TraceSpan Chunk = Reader.next(); !Chunk.empty();
          Chunk = Reader.next())
@@ -499,7 +481,7 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
     if (!Reader.ok())
       return Fail(Reader.error());
     TraceIndex Index = Builder.take();
-    IndexSeconds += secondsSince(Start);
+    IndexSeconds += secondsSince(IndexStart);
 
     AnalysisResult Replayed;
     Replayed.Notes = std::move(Result.Notes);
@@ -511,10 +493,6 @@ AnalysisSession::analyzeFileStreaming(const std::string &Path) const {
     return Replayed;
   }
 
-  auto Start = Clock::now();
-  StreamingTraceReader Reader(Path, StreamWindow);
-  if (!Reader.ok())
-    return Fail(Reader.error());
   AnalysisResult Replayed = analyzeStream(Reader);
   // Load is interleaved with analysis on the sequential streaming path.
   Replayed.ReplaySeconds = secondsSince(Start);

@@ -3,7 +3,8 @@
 #include "sim/StreamingTraceReader.h"
 
 #include <algorithm>
-#include <cstring>
+
+#include <sys/stat.h>
 
 using namespace pacer;
 
@@ -16,54 +17,40 @@ StreamingTraceReader::StreamingTraceReader(const std::string &Path,
     fail("cannot open " + Path);
     return;
   }
-  const int First = std::fgetc(File);
-  if (First == EOF) {
+  // The size comes from the descriptor: input without one (a pipe) reads
+  // as empty, and a file shorter than a header is as long as the bytes
+  // read.
+  struct stat St;
+  uint64_t FileBytes = ::fstat(::fileno(File), &St) == 0
+                           ? static_cast<uint64_t>(St.st_size)
+                           : 0;
+  unsigned char Header[BinaryTraceHeaderBytes] = {};
+  const size_t Got = std::fread(
+      Header, 1, std::min<uint64_t>(FileBytes, sizeof(Header)), File);
+  if (Got < sizeof(Header))
+    FileBytes = Got;
+  if (FileBytes == 0) {
     fail(Path + ": empty file");
     return;
   }
-  std::rewind(File);
-  Format = static_cast<unsigned char>(First) == BinaryTraceMagic0
-               ? TraceFormat::Binary
-               : TraceFormat::Text;
-
-  if (Format == TraceFormat::Binary) {
-    unsigned char Header[BinaryTraceHeaderBytes];
-    if (std::fread(Header, 1, sizeof(Header), File) != sizeof(Header)) {
-      fail(Path + ": truncated header");
+  Format = traceFormatOf(Header[0]);
+  if (Format == TraceFormat::Text) {
+    Parser.append(reinterpret_cast<const char *>(Header), Got);
+  } else {
+    uint64_t Count = 0;
+    std::string Why = checkBinaryTraceHeader(Path, Header, FileBytes, Count);
+    if (!Why.empty()) {
+      fail(std::move(Why));
       return;
     }
-    if (std::memcmp(Header, BinaryTraceMagic, 8) != 0) {
-      fail(Path + ": bad binary trace magic");
-      return;
-    }
-    auto LE32 = [&](size_t Off) {
-      return static_cast<uint32_t>(Header[Off]) |
-             (static_cast<uint32_t>(Header[Off + 1]) << 8) |
-             (static_cast<uint32_t>(Header[Off + 2]) << 16) |
-             (static_cast<uint32_t>(Header[Off + 3]) << 24);
-    };
-    if (LE32(8) != BinaryTraceVersion) {
-      fail(Path + ": unsupported binary trace version");
-      return;
-    }
-    if (LE32(12) != 0) {
-      fail(Path + ": unsupported binary trace flags");
-      return;
-    }
-    RemainingRecords = static_cast<uint64_t>(LE32(16)) |
-                       (static_cast<uint64_t>(LE32(20)) << 32);
-    Total = RemainingRecords;
+    Total = RemainingRecords = Count;
   }
   WindowBuf.reserve(Window);
 }
 
-StreamingTraceReader::~StreamingTraceReader() {
-  if (File)
-    std::fclose(File);
-}
+StreamingTraceReader::~StreamingTraceReader() { close(); }
 
-void StreamingTraceReader::fail(std::string Why) {
-  Error = std::move(Why);
+void StreamingTraceReader::close() {
   Done = true;
   if (File) {
     std::fclose(File);
@@ -71,8 +58,13 @@ void StreamingTraceReader::fail(std::string Why) {
   }
 }
 
+void StreamingTraceReader::fail(std::string Why) {
+  Error = std::move(Why);
+  close();
+}
+
 TraceSpan StreamingTraceReader::next() {
-  if (Done || !File)
+  if (Done)
     return {};
   TraceSpan Chunk =
       Format == TraceFormat::Binary ? nextBinary() : nextText();
@@ -82,61 +74,35 @@ TraceSpan StreamingTraceReader::next() {
 
 TraceSpan StreamingTraceReader::nextBinary() {
   if (RemainingRecords == 0) {
-    if (std::fgetc(File) != EOF) {
-      fail(Path + ": trailing bytes after " + std::to_string(*Total) +
-           " records");
-      return {};
-    }
-    Done = true;
-    std::fclose(File);
-    File = nullptr;
+    close();
     return {};
   }
   const size_t Want = static_cast<size_t>(
       std::min<uint64_t>(RemainingRecords, Window));
   WindowBuf.resize(Want);
-
-  size_t Records;
-  if (actionLayoutMatchesBinaryRecord()) {
-    // The window buffer IS the record buffer: one fread per window.
-    const size_t Bytes = std::fread(WindowBuf.data(), 1,
-                                    Want * BinaryTraceRecordBytes, File);
-    Records = Bytes / BinaryTraceRecordBytes;
-    if (Records == 0 || Bytes % BinaryTraceRecordBytes != 0) {
-      fail(Path + ": truncated trace (header promises " +
-           std::to_string(*Total) + " records)");
-      return {};
-    }
-    const char *Why = nullptr;
-    if (const size_t Bad =
-            firstInvalidRecord(TraceSpan(WindowBuf.data(), Records), Why);
-        Bad < Records) {
-      fail(invalidRecordError(Path, Why, *Total - RemainingRecords + Bad));
-      return {};
-    }
-  } else {
+  // On matching ABIs the window buffer IS the record buffer: one fread
+  // per window.
+  const bool Bulk = actionLayoutMatchesBinaryRecord();
+  if (!Bulk)
     RawBuf.resize(Want * BinaryTraceRecordBytes);
-    const size_t Bytes = std::fread(RawBuf.data(), 1, RawBuf.size(), File);
-    Records = Bytes / BinaryTraceRecordBytes;
-    if (Records == 0 || Bytes % BinaryTraceRecordBytes != 0) {
-      fail(Path + ": truncated trace (header promises " +
-           std::to_string(*Total) + " records)");
-      return {};
-    }
-    for (size_t I = 0; I < Records; ++I) {
-      const char *Why = unpackBinaryRecord(
-                            RawBuf.data() + I * BinaryTraceRecordBytes,
-                            WindowBuf[I])
-                            ? validateActionRecord(WindowBuf[I])
-                            : "bad action kind";
-      if (Why) {
-        fail(invalidRecordError(Path, Why, *Total - RemainingRecords + I));
-        return {};
-      }
-    }
+  void *Raw = Bulk ? static_cast<void *>(WindowBuf.data()) : RawBuf.data();
+  if (std::fread(Raw, BinaryTraceRecordBytes, Want, File) != Want) {
+    // The size was checked at open, so only a file that shrank since
+    // ends early.
+    fail(Path + ": truncated trace (header promises " +
+         std::to_string(*Total) + " records)");
+    return {};
   }
-  WindowBuf.resize(Records);
-  RemainingRecords -= Records;
+  if (!Bulk)
+    for (size_t I = 0; I < Want; ++I)
+      unpackBinaryRecord(RawBuf.data() + I * BinaryTraceRecordBytes,
+                         WindowBuf[I]);
+  const char *Why = nullptr;
+  if (const size_t Bad = firstInvalidRecord(WindowBuf, Why); Bad < Want) {
+    fail(invalidRecordError(Path, Why, *Total - RemainingRecords + Bad));
+    return {};
+  }
+  RemainingRecords -= Want;
   return TraceSpan(WindowBuf);
 }
 
@@ -145,21 +111,18 @@ TraceSpan StreamingTraceReader::nextText() {
   char Buf[1 << 16];
   while (WindowBuf.size() < Window) {
     if (!Parser.drain(WindowBuf, Window - WindowBuf.size())) {
-      fail(Parser.error());
+      fail(Path + ": " + Parser.error());
       return {};
     }
     if (WindowBuf.size() >= Window)
       break;
     if (SourceExhausted) {
       if (!Parser.finish(WindowBuf, Window - WindowBuf.size())) {
-        fail(Parser.error());
+        fail(Path + ": " + Parser.error());
         return {};
       }
-      if (WindowBuf.empty()) {
-        Done = true;
-        std::fclose(File);
-        File = nullptr;
-      }
+      if (WindowBuf.empty())
+        close();
       return TraceSpan(WindowBuf);
     }
     const size_t Got = std::fread(Buf, 1, sizeof(Buf), File);

@@ -5,19 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Reads a trace file -- text or binary, auto-detected -- through a
-/// bounded window of actions: next() yields consecutive spans of at most
-/// windowActions() actions, reusing one allocation, so a replay driven
-/// from the reader holds O(window + detector metadata) memory regardless
-/// of trace size (Runtime::replayChunk makes any chunking bit-identical
-/// to an in-memory replay). The same single pass can feed a
-/// TraceIndex::Builder, which is how racedetect resolves --shards=auto
-/// without ever materializing the trace.
+/// Reads a trace file -- text or binary -- through a bounded window of
+/// actions: next() yields consecutive spans of at most windowActions()
+/// actions, reusing one allocation, so a replay driven from the reader
+/// holds O(window + detector metadata) memory regardless of trace size
+/// (Runtime::replayChunk makes any chunking bit-identical to an in-memory
+/// replay). The same single pass can feed a TraceIndex::Builder, which is
+/// how racedetect resolves --shards=auto without ever materializing the
+/// trace.
 ///
-/// Binary windows are bulk freads (a memcpy per window on matching ABIs);
-/// text windows parse line by line through TextTraceParser. A mid-stream
-/// error (truncation, malformed line) ends the stream with ok() == false
-/// and a diagnostic; consumers must check ok() after the last chunk.
+/// This is the repository's one decoder per format, and every other read
+/// path goes through it: readTraceFile drains a reader, and TraceView
+/// loads through readTraceFile whatever it cannot map. Opening reads the
+/// file's size and first bytes, sniffs the format (traceFormatOf), and
+/// for a binary trace runs checkBinaryTraceHeader, so a bad header, a
+/// truncated body or trailing bytes fail here, before any record is
+/// read. Binary windows are then bulk freads (a memcpy per window on
+/// matching ABIs) checked record by record; text windows parse line by
+/// line through TextTraceParser. A record or line error ends the stream
+/// with ok() == false; consumers must check ok() after the last chunk.
+/// Every diagnostic names the file: "PATH: why".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,9 +54,9 @@ public:
   static constexpr size_t MaxWindowActions = size_t(1) << 24;
 
   /// Opens \p Path with a window of \p WindowActions (clamped to
-  /// [1, MaxWindowActions]).
-  /// Check ok() before streaming: an unopenable or malformed-header file
-  /// fails here.
+  /// [1, MaxWindowActions]). Check ok() before streaming: an unopenable
+  /// or empty file, and a binary header that does not match the file's
+  /// size, fail here.
   explicit StreamingTraceReader(
       const std::string &Path,
       size_t WindowActions = DefaultWindowActions);
@@ -76,14 +83,16 @@ public:
   /// Actions handed out so far.
   uint64_t actionsDelivered() const { return Delivered; }
 
-  /// Total records promised by a binary header; nullopt for text (the
-  /// text header's count is advisory and not trusted).
+  /// Records in a binary trace (its header's count, checked against the
+  /// file size at open); nullopt for text (the text header's count is
+  /// advisory and not trusted).
   std::optional<uint64_t> totalActions() const { return Total; }
 
 private:
   TraceSpan nextBinary();
   TraceSpan nextText();
   void fail(std::string Why);
+  void close(); ///< Ends the stream.
 
   std::string Path;
   std::FILE *File = nullptr;

@@ -2,11 +2,12 @@
 
 #include "sim/TraceIO.h"
 
+#include "sim/StreamingTraceReader.h"
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <vector>
 
 using namespace pacer;
 
@@ -67,6 +68,26 @@ static void appendField(std::string &Out, uint32_t Value) {
   Out += Buf;
 }
 
+static std::string textHeader(size_t Count) {
+  std::string Header = "pacer-trace v1 ";
+  Header += std::to_string(Count);
+  Header += '\n';
+  return Header;
+}
+
+/// Appends \p A as one text line: the one formatter behind
+/// serializeTrace and writeTraceFile.
+static void appendTextRecord(std::string &Out, const Action &A) {
+  Out += kindToken(A.Kind);
+  Out += ' ';
+  appendField(Out, A.Tid);
+  Out += ' ';
+  appendField(Out, A.Target);
+  Out += ' ';
+  appendField(Out, A.Site);
+  Out += '\n';
+}
+
 const char *pacer::traceFormatName(TraceFormat Format) {
   return Format == TraceFormat::Text ? "text" : "binary";
 }
@@ -84,17 +105,9 @@ bool pacer::parseTraceFormat(const std::string &Text, TraceFormat &Format) {
 }
 
 std::string pacer::serializeTrace(TraceSpan T) {
-  std::string Out = "pacer-trace v1 " + std::to_string(T.size()) + "\n";
-  for (const Action &A : T) {
-    Out += kindToken(A.Kind);
-    Out += ' ';
-    appendField(Out, A.Tid);
-    Out += ' ';
-    appendField(Out, A.Target);
-    Out += ' ';
-    appendField(Out, A.Site);
-    Out += '\n';
-  }
+  std::string Out = textHeader(T.size());
+  for (const Action &A : T)
+    appendTextRecord(Out, A);
   return Out;
 }
 
@@ -141,13 +154,11 @@ void pacer::packBinaryRecord(const Action &A, unsigned char *Out) {
 bool pacer::unpackBinaryRecord(const unsigned char *In, Action &A) {
   const uint32_t Word0 = getLE32(In);
   const uint8_t KindByte = static_cast<uint8_t>(Word0);
-  if (KindByte > MaxKindByte)
-    return false;
   A.Kind = static_cast<ActionKind>(KindByte);
   A.Tid = Word0 >> 8;
   A.Target = getLE32(In + 4);
   A.Site = getLE32(In + 8);
-  return true;
+  return KindByte <= MaxKindByte;
 }
 
 size_t pacer::firstInvalidRecord(TraceSpan T, const char *&Why) {
@@ -173,33 +184,34 @@ void pacer::packBinaryHeader(uint64_t Count, unsigned char *Out) {
   putLE32(Out + 20, static_cast<uint32_t>(Count >> 32));
 }
 
-namespace {
-
-/// Validates a v2 header; returns false with \p Why set.
-bool checkBinaryHeader(const unsigned char *Header, size_t Len,
-                       uint64_t &Count, const char *&Why) {
-  if (Len < BinaryTraceHeaderBytes) {
-    Why = "truncated header";
-    return false;
-  }
-  if (std::memcmp(Header, BinaryTraceMagic, 8) != 0) {
-    Why = "bad binary trace magic";
-    return false;
-  }
-  if (getLE32(Header + 8) != BinaryTraceVersion) {
-    Why = "unsupported binary trace version";
-    return false;
-  }
-  if (getLE32(Header + 12) != 0) {
-    Why = "unsupported binary trace flags";
-    return false;
-  }
+std::string pacer::checkBinaryTraceHeader(const std::string &Path,
+                                          const unsigned char *Header,
+                                          uint64_t FileBytes,
+                                          uint64_t &Count) {
+  std::string Error = Path + ": ";
+  if (FileBytes < BinaryTraceHeaderBytes)
+    return Error += "truncated header";
+  if (std::memcmp(Header, BinaryTraceMagic, 8) != 0)
+    return Error += "bad binary trace magic";
+  if (getLE32(Header + 8) != BinaryTraceVersion)
+    return Error += "unsupported binary trace version";
+  if (getLE32(Header + 12) != 0)
+    return Error += "unsupported binary trace flags";
   Count = static_cast<uint64_t>(getLE32(Header + 16)) |
           (static_cast<uint64_t>(getLE32(Header + 20)) << 32);
-  return true;
+  // Bound the count by the bytes present before multiplying: a corrupt
+  // 64-bit count must not wrap the size arithmetic into a check that
+  // accidentally passes.
+  const uint64_t BodyBytes = FileBytes - BinaryTraceHeaderBytes;
+  const bool Short = Count > BodyBytes / BinaryTraceRecordBytes;
+  if (!Short && BodyBytes == Count * BinaryTraceRecordBytes)
+    return {};
+  Error += Short ? "truncated trace (header promises "
+                 : "trailing bytes after ";
+  Error += std::to_string(Count);
+  Error += Short ? " records)" : " records";
+  return Error;
 }
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Text parsing
@@ -367,27 +379,13 @@ bool pacer::writeTraceFile(const std::string &Path, TraceSpan T) {
   // Serialize in slabs so writing a large trace never builds the whole
   // text image in memory.
   constexpr size_t SlabActions = 64 << 10;
-  bool Ok = true;
-  {
-    std::string Header =
-        "pacer-trace v1 " + std::to_string(T.size()) + "\n";
-    Ok = std::fwrite(Header.data(), 1, Header.size(), File) == Header.size();
-  }
-  std::string Slab;
+  std::string Slab = textHeader(T.size());
+  bool Ok = std::fwrite(Slab.data(), 1, Slab.size(), File) == Slab.size();
   for (size_t Begin = 0; Ok && Begin < T.size(); Begin += SlabActions) {
     const size_t End = std::min(T.size(), Begin + SlabActions);
     Slab.clear();
-    for (size_t I = Begin; I < End; ++I) {
-      const Action &A = T[I];
-      Slab += kindToken(A.Kind);
-      Slab += ' ';
-      appendField(Slab, A.Tid);
-      Slab += ' ';
-      appendField(Slab, A.Target);
-      Slab += ' ';
-      appendField(Slab, A.Site);
-      Slab += '\n';
-    }
+    for (size_t I = Begin; I < End; ++I)
+      appendTextRecord(Slab, T[I]);
     Ok = std::fwrite(Slab.data(), 1, Slab.size(), File) == Slab.size();
   }
   Ok &= std::fclose(File) == 0;
@@ -435,163 +433,24 @@ bool pacer::writeTraceFile(const std::string &Path, TraceSpan T,
                                        : writeTraceFile(Path, T);
 }
 
-bool pacer::detectTraceFileFormat(const std::string &Path,
-                                  TraceFormat &Format, std::string &Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    Error = "cannot open " + Path;
-    return false;
-  }
-  int First = std::fgetc(File);
-  std::fclose(File);
-  if (First == EOF) {
-    Error = Path + ": empty file";
-    return false;
-  }
-  Format = static_cast<unsigned char>(First) == BinaryTraceMagic0
-               ? TraceFormat::Binary
-               : TraceFormat::Text;
-  return true;
-}
-
-namespace {
-
-TraceParseResult readBinaryTraceFile(const std::string &Path,
-                                     std::FILE *File) {
-  TraceParseResult Result;
-  unsigned char Header[BinaryTraceHeaderBytes];
-  const size_t Got = std::fread(Header, 1, sizeof(Header), File);
-  uint64_t Count = 0;
-  const char *Why = nullptr;
-  if (!checkBinaryHeader(Header, Got, Count, Why)) {
-    Result.Error = Path + ": " + Why;
-    return Result;
-  }
-
-  // Check the promised count against the bytes actually present before
-  // sizing anything by it: a corrupt header must produce a diagnostic,
-  // not a count-sized allocation (this build has no exceptions, so an
-  // absurd reserve would abort the process).
-  const long DataStart = std::ftell(File);
-  if (DataStart < 0 || std::fseek(File, 0, SEEK_END) != 0) {
-    Result.Error = Path + ": cannot determine file size";
-    return Result;
-  }
-  const long FileEnd = std::ftell(File);
-  if (FileEnd < DataStart ||
-      std::fseek(File, DataStart, SEEK_SET) != 0) {
-    Result.Error = Path + ": cannot determine file size";
-    return Result;
-  }
-  const uint64_t BodyBytes = static_cast<uint64_t>(FileEnd - DataStart);
-  if (Count > BodyBytes / BinaryTraceRecordBytes) {
-    Result.Error = Path + ": truncated trace (header promises " +
-                   std::to_string(Count) + " records)";
-    return Result;
-  }
-
-  Result.T.reserve(Count);
-  const bool Bulk = actionLayoutMatchesBinaryRecord();
-  constexpr size_t SlabRecords = 16 << 10;
-  std::vector<unsigned char> Slab(SlabRecords * BinaryTraceRecordBytes);
-  uint64_t Remaining = Count;
-  while (Remaining > 0) {
-    const size_t Want = static_cast<size_t>(
-        std::min<uint64_t>(Remaining, SlabRecords));
-    const size_t Bytes =
-        std::fread(Slab.data(), 1, Want * BinaryTraceRecordBytes, File);
-    const size_t Records = Bytes / BinaryTraceRecordBytes;
-    if (Records == 0 || Bytes % BinaryTraceRecordBytes != 0) {
-      Result.Error = Path + ": truncated trace (header promises " +
-                     std::to_string(Count) + " records)";
-      return Result;
-    }
-    const uint64_t First = Count - Remaining;
-    if (Bulk) {
-      // Even on the bulk path every record is validated: a corrupt
-      // record must fail loudly, not dispatch as garbage.
-      const TraceSpan Actions(reinterpret_cast<const Action *>(Slab.data()),
-                              Records);
-      const char *Why = nullptr;
-      if (const size_t Bad = firstInvalidRecord(Actions, Why);
-          Bad < Records) {
-        Result.Error = invalidRecordError(Path, Why, First + Bad);
-        return Result;
-      }
-      Result.T.insert(Result.T.end(), Actions.begin(), Actions.end());
-    } else {
-      for (size_t I = 0; I < Records; ++I) {
-        Action A;
-        const char *Why =
-            unpackBinaryRecord(Slab.data() + I * BinaryTraceRecordBytes, A)
-                ? validateActionRecord(A)
-                : "bad action kind";
-        if (Why) {
-          Result.Error = invalidRecordError(Path, Why, First + I);
-          return Result;
-        }
-        Result.T.push_back(A);
-      }
-    }
-    Remaining -= Records;
-  }
-  if (std::fgetc(File) != EOF) {
-    Result.Error = Path + ": trailing bytes after " +
-                   std::to_string(Count) + " records";
-    return Result;
-  }
-  Result.Ok = true;
-  return Result;
-}
-
-TraceParseResult readTextTraceFile(const std::string &Path,
-                                   std::FILE *File) {
-  TraceParseResult Result;
-  TextTraceParser Parser;
-  char Buf[1 << 16];
-  size_t Got;
-  while ((Got = std::fread(Buf, 1, sizeof(Buf), File)) > 0) {
-    Parser.append(Buf, Got);
-    if (!Parser.drain(Result.T, SIZE_MAX)) {
-      Result.Error = Parser.error();
-      return Result;
-    }
-  }
-  if (!Parser.finish(Result.T, SIZE_MAX)) {
-    Result.Error = Parser.error();
-    return Result;
-  }
-  Result.Ok = true;
-  return Result;
-}
-
-} // namespace
-
 TraceParseResult pacer::readTraceFile(const std::string &Path,
                                       TraceFormat *Format) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    TraceParseResult Result;
-    Result.Error = "cannot open " + Path;
+  TraceParseResult Result;
+  // 16k-action (192 KiB) windows stay cache-resident between the read and
+  // the copy into the trace.
+  StreamingTraceReader Reader(Path, size_t(16) << 10);
+  // The header's count was checked against the file size, so reserving
+  // by it is safe.
+  if (Reader.totalActions())
+    Result.T.reserve(*Reader.totalActions());
+  for (TraceSpan Chunk = Reader.next(); !Chunk.empty(); Chunk = Reader.next())
+    Result.T.insert(Result.T.end(), Chunk.begin(), Chunk.end());
+  if (!Reader.ok()) {
+    Result.Error = Reader.error();
     return Result;
   }
-  const int First = std::fgetc(File);
-  if (First == EOF) {
-    std::fclose(File);
-    TraceParseResult Result;
-    Result.Error = "line 1: empty input";
-    return Result;
-  }
-  std::rewind(File);
-  const TraceFormat Detected =
-      static_cast<unsigned char>(First) == BinaryTraceMagic0
-          ? TraceFormat::Binary
-          : TraceFormat::Text;
-  TraceParseResult Result = Detected == TraceFormat::Binary
-                                ? readBinaryTraceFile(Path, File)
-                                : readTextTraceFile(Path, File);
-  std::fclose(File);
-  if (Result.Ok && Format)
-    *Format = Detected;
+  if (Format)
+    *Format = Reader.format();
+  Result.Ok = true;
   return Result;
 }

@@ -10,7 +10,7 @@
 /// attributes to LiteRace ("recording synchronization, read, and write
 /// operations to a log file" with offline race checks, Section 2.3), and
 /// it is also how the repository's experiments can be archived and
-/// replayed bit-identically. Two formats share one reader:
+/// replayed bit-identically. Two formats, one reader:
 ///
 ///  - *Text* (`pacer-trace v1`): a header line `pacer-trace v1 <count>`
 ///    followed by one action per line, `<kind> <tid> <target> <site>`,
@@ -27,10 +27,13 @@
 ///    mmap -- see sim/TraceView.h -- is a pointer cast); a portable
 ///    pack/unpack path covers everything else.
 ///
-/// readTraceFile() auto-detects the format and streams either one: the
-/// text path parses line by line from a fixed window and the binary path
-/// reads records in bounded slabs, so loading never holds file bytes and
-/// the parsed trace in memory at once (only the Trace itself grows).
+/// This file owns every format decision: traceFormatOf() is the one
+/// first-byte sniff and checkBinaryTraceHeader() the one check of a v2
+/// header against the file's size. Both decoders live in
+/// StreamingTraceReader (sim/StreamingTraceReader.h); readTraceFile()
+/// drains one, and TraceView maps a binary file after the same header
+/// check or loads any other file through readTraceFile(). So every read
+/// path gives the same diagnostic for the same bytes, "PATH: why".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +74,12 @@ inline constexpr unsigned char BinaryTraceMagic[8] = {
 inline constexpr size_t BinaryTraceHeaderBytes = 24;
 inline constexpr uint32_t BinaryTraceVersion = 2;
 
+/// The format of a file whose first byte is \p FirstByte.
+inline TraceFormat traceFormatOf(unsigned char FirstByte) {
+  return FirstByte == BinaryTraceMagic0 ? TraceFormat::Binary
+                                        : TraceFormat::Text;
+}
+
 /// One record: Kind | Tid << 8, Target, Site -- all little-endian u32.
 inline constexpr size_t BinaryTraceRecordBytes = 12;
 static_assert(BinaryTraceRecordBytes == sizeof(Action),
@@ -86,7 +95,9 @@ bool actionLayoutMatchesBinaryRecord();
 /// Encodes \p A into \p Out (exactly BinaryTraceRecordBytes), portably.
 void packBinaryRecord(const Action &A, unsigned char *Out);
 
-/// Decodes one record; returns false on an out-of-range kind byte.
+/// Decodes one record into \p A, its kind byte included; returns false
+/// when that byte names no ActionKind (validateActionRecord then rejects
+/// A as a bulk-read record with the same byte).
 bool unpackBinaryRecord(const unsigned char *In, Action &A);
 
 /// Validates one record. Its kind byte must name an ActionKind: bulk
@@ -99,9 +110,10 @@ bool unpackBinaryRecord(const unsigned char *In, Action &A);
 /// (MaxActionTid) like every other tid -- a larger value cannot have come
 /// from the writer and would grow per-thread detector state without
 /// bound. Returns nullptr for a well-formed record, else a static reason
-/// string. Every record is checked before analysis sees it: by the
-/// readers (buffered, streaming, text) as they load, by TraceView::open,
-/// and on the default mapped path by the replay segmenter as it scans
+/// string. Every record is checked before analysis sees it: by
+/// StreamingTraceReader's decoders as they load (so by readTraceFile and
+/// TraceView's load too), by TraceView::open on a mapping, and on the
+/// default mapped path by the replay segmenter as it scans
 /// (Runtime::replayChunk). Inline because the segmenter applies it per
 /// record.
 inline const char *validateActionRecord(const Action &A) {
@@ -124,7 +136,7 @@ inline const char *validateActionRecord(const Action &A) {
 
 /// Index of the first record of \p T that validateActionRecord rejects,
 /// with \p Why set to its reason; T.size() (Why untouched) when every
-/// record is valid. The one whole-span check: the bulk readers and
+/// record is valid. The one whole-span check: the binary decoder and
 /// TraceView::open run it, and so do the analysis paths that read a
 /// mapped trace before or without the segmenter (sharded replay, the
 /// escape-analysis filter).
@@ -137,6 +149,20 @@ std::string invalidRecordError(const std::string &Path, const char *Why,
 
 /// Renders the 24-byte v2 header for \p Count records into \p Out.
 void packBinaryHeader(uint64_t Count, unsigned char *Out);
+
+/// Checks the v2 header of \p Path, a file of \p FileBytes bytes (at
+/// least 1) whose first min(FileBytes, BinaryTraceHeaderBytes) bytes are
+/// \p Header. Returns an empty string, with \p Count set, when the magic,
+/// version and flags are right and exactly Count records follow the
+/// header. Otherwise returns "PATH: " and the first defect of: truncated
+/// header, bad binary trace magic, unsupported binary trace version,
+/// unsupported binary trace flags, truncated trace (header promises N
+/// records), trailing bytes after N records. Because the count is checked
+/// against the size before anything is sized by it, a hostile count can
+/// cost no allocation.
+std::string checkBinaryTraceHeader(const std::string &Path,
+                                   const unsigned char *Header,
+                                   uint64_t FileBytes, uint64_t &Count);
 
 // --- Text format ---------------------------------------------------------
 
@@ -154,9 +180,9 @@ struct TraceParseResult {
 TraceParseResult parseTrace(const std::string &Text);
 
 /// Incremental text parser: append() file bytes in any chunking, drain()
-/// parsed actions in bounded batches. Backs both readTraceFile's
-/// line-by-line text path and StreamingTraceReader's bounded window --
-/// at no point do the whole file's bytes sit in memory.
+/// parsed actions in bounded batches. Backs parseTrace() and
+/// StreamingTraceReader's text decoder -- at no point do the whole file's
+/// bytes sit in memory.
 class TextTraceParser {
 public:
   /// Buffers \p Len more input bytes.
@@ -172,9 +198,6 @@ public:
   /// final line may lack a newline). drain() afterwards returns the
   /// leftovers if \p Max truncated this call's output.
   bool finish(Trace &Out, size_t Max);
-
-  /// True once the header line has parsed (actions may follow).
-  bool headerSeen() const { return SawHeader; }
 
   /// Empty until a parse error; then "line N: why".
   const std::string &error() const { return Error; }
@@ -204,16 +227,12 @@ bool writeTraceFileBinary(const std::string &Path, TraceSpan T);
 bool writeTraceFile(const std::string &Path, TraceSpan T,
                     TraceFormat Format);
 
-/// Reads a trace from \p Path, auto-detecting text vs binary by the
-/// first byte; Ok is false with a diagnostic on failure. \p Format, when
+/// Reads a trace from \p Path in either format: drains a
+/// StreamingTraceReader into one Trace, so it accepts and rejects exactly
+/// what the reader does, with the reader's diagnostic. \p Format, when
 /// non-null, receives the detected format on success.
 TraceParseResult readTraceFile(const std::string &Path,
                                TraceFormat *Format = nullptr);
-
-/// Detects the on-disk format of \p Path by its first byte. Returns
-/// false (cannot open / empty file) with \p Error set.
-bool detectTraceFileFormat(const std::string &Path, TraceFormat &Format,
-                           std::string &Error);
 
 } // namespace pacer
 

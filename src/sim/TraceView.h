@@ -1,23 +1,22 @@
-//===- sim/TraceView.h - Zero-copy binary trace view -----------*- C++ -*-===//
+//===- sim/TraceView.h - Zero-copy trace file view -------------*- C++ -*-===//
 //
 // Part of the PACER reproduction, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A read-only view of a binary (v2) trace file that avoids materializing
-/// a Trace: on POSIX hosts whose Action layout matches the on-disk record
-/// (see sim/TraceIO.h) the file is memory-mapped and actions() is a
-/// pointer cast over the mapping -- map() costs one header and size
-/// check, and the kernel pages records in and out on demand, so
-/// analysing a trace larger than RAM needs no trace-sized allocation at
-/// all. Where mmap is unavailable (or the ABI differs) the
-/// view transparently falls back to a buffered load; actions() is the
-/// same span either way, so every consumer -- Runtime::replay,
-/// shardedReplay, TraceIndex -- is oblivious to the difference.
-///
-/// Text traces are not viewable (they must be parsed); open() reports a
-/// diagnostic directing callers to readTraceFile or traceconv.
+/// A read-only view of a trace file that avoids materializing a Trace
+/// where it can: on hosts whose Action layout matches the on-disk v2
+/// record (see sim/TraceIO.h) a binary file is memory-mapped and
+/// actions() is a pointer cast over the mapping -- map() costs the one
+/// header check (checkBinaryTraceHeader) and the kernel pages records in
+/// and out on demand, so analysing a trace larger than RAM needs no
+/// trace-sized allocation at all. Any file it does not map -- a text
+/// trace, an exotic ABI, an unmappable file -- loads through
+/// readTraceFile instead, with that reader's checks and diagnostics;
+/// actions() is the same span either way, so every consumer --
+/// Runtime::replay, shardedReplay, TraceIndex -- is oblivious to the
+/// difference, and a file gives the same diagnostic on either path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +30,8 @@
 
 namespace pacer {
 
-/// Zero-copy (mmap-backed) view of a binary trace file.
+/// Zero-copy (mmap-backed) view of a binary trace file, or a loaded copy
+/// of any other trace file.
 class TraceView {
 public:
   TraceView() = default;
@@ -42,15 +42,15 @@ public:
   TraceView(const TraceView &) = delete;
   TraceView &operator=(const TraceView &) = delete;
 
-  /// Opens \p Path: map() plus a firstInvalidRecord scan, so ok() means
-  /// every record passed validateActionRecord. \p ForceBuffered skips the
-  /// mmap attempt (used by tests to pin the fallback path; results are
-  /// identical). On failure the view is empty and ok() is false with a
-  /// diagnostic.
+  /// Opens \p Path: map() plus a firstInvalidRecord scan of a mapping,
+  /// so ok() means every record passed validateActionRecord. \p
+  /// ForceBuffered skips the mmap attempt (used by tests to pin the
+  /// loaded path; results are identical). On failure the view is empty
+  /// and ok() is false with a diagnostic.
   static TraceView open(const std::string &Path, bool ForceBuffered = false);
 
-  /// Like open(), but checks only the header and the file size: on the
-  /// mapped path no record is read, so a record may still be invalid.
+  /// Like open(), but on the mapped path checks only the header against
+  /// the file size and reads no record, so a record may still be invalid.
   /// The caller must check records before analysing them -- the replay
   /// segmenter does (Runtime::replayChunk), and AnalysisSession runs
   /// firstInvalidRecord first on every path that reads records without
@@ -71,6 +71,9 @@ public:
 
 private:
   void reset();
+  /// Maps \p Path if it is a binary trace. True when that settled the
+  /// view: mapped, or rejected by the header check.
+  bool mapBinary(const std::string &Path);
 
   bool Ok = false;
   std::string Error;

@@ -15,7 +15,10 @@
 ///
 /// BinReader never aborts on malformed input: reads past the end flip a
 /// sticky failed() flag and return zeros, so a decoder can run straight
-/// through and check once at the end (the pattern the trace readers use).
+/// through and check once at the end (the pattern the snapshot and frame
+/// decoders use). Trace files do not use it: their fixed 24-byte header
+/// is checked against the file size before any field is trusted
+/// (sim/TraceIO.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,10 @@
 /// reports, a fluent builder for hand-written traces, a dispatcher that
 /// replays traces straight into a detector (no sampling controller), a
 /// wrapper that pins a detector to the per-access reference loop, the one
-/// comparator for two analyses of the same trace, and a legality validator
-/// for generated traces.
+/// comparator for two analyses of the same trace, a legality validator
+/// for generated traces, and the trace-file helpers behind the corrupt-
+/// input corpus and the trace fuzzer: a v2 byte image, a temp-file writer,
+/// and the check that every read path agrees on a file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,11 +24,15 @@
 #include "runtime/AnalysisSession.h"
 #include "runtime/Runtime.h"
 #include "sim/Action.h"
+#include "sim/StreamingTraceReader.h"
+#include "sim/TraceIO.h"
+#include "sim/TraceView.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <span>
 #include <string>
@@ -227,6 +233,88 @@ inline std::string validateTrace(const Trace &T, uint32_t TotalThreads) {
     if (ThreadState[Tid] != 2)
       return "thread never finished: " + std::to_string(Tid);
   return "";
+}
+
+/// Byte image of a well-formed v2 file for \p T, packed portably.
+inline std::string binaryTraceImage(TraceSpan T) {
+  std::string Bytes(BinaryTraceHeaderBytes, '\0');
+  packBinaryHeader(T.size(), reinterpret_cast<unsigned char *>(&Bytes[0]));
+  for (const Action &A : T) {
+    unsigned char Rec[BinaryTraceRecordBytes];
+    packBinaryRecord(A, Rec);
+    Bytes.append(reinterpret_cast<char *>(Rec), sizeof(Rec));
+  }
+  return Bytes;
+}
+
+/// Writes \p Bytes to the file \p Name in the test temp dir; returns its
+/// path.
+inline std::string writeTempFile(const std::string &Name,
+                                 const std::string &Bytes) {
+  std::string Path = ::testing::TempDir() + "/" + Name;
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+  return Path;
+}
+
+/// Field-wise equality of two action sequences.
+inline bool sameActions(TraceSpan A, TraceSpan B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(),
+                    [](const Action &X, const Action &Y) {
+                      return X.Kind == Y.Kind && X.Tid == Y.Tid &&
+                             X.Target == Y.Target && X.Site == Y.Site;
+                    });
+}
+
+/// Reads \p Path every way the library reads a trace file --
+/// readTraceFile, TraceView::open mapped and loaded, a StreamingTraceReader
+/// with a window of \p Window actions, and AnalysisSession::analyzeFile in
+/// its default and Stream modes at one shard -- and expects them all to
+/// agree: on accepting the file, on the diagnostic when they reject it,
+/// and on the actions (for the analyses, their count) when they accept
+/// it. Returns readTraceFile's diagnostic, empty when it accepted.
+inline std::string expectEveryReaderAgrees(const std::string &Path,
+                                           size_t Window) {
+  const TraceParseResult Ref = readTraceFile(Path);
+  // True when both accepted, so their readings compare.
+  auto SameVerdict = [&](const char *Reader, bool Ok,
+                         const std::string &Error) {
+    EXPECT_EQ(Ok, Ref.Ok) << Reader << " on " << Path;
+    EXPECT_EQ(Error, Ref.Error) << Reader << " on " << Path;
+    return Ok && Ref.Ok;
+  };
+  for (bool ForceBuffered : {false, true}) {
+    const char *Reader =
+        ForceBuffered ? "loaded TraceView" : "mapped TraceView";
+    const TraceView View = TraceView::open(Path, ForceBuffered);
+    if (SameVerdict(Reader, View.ok(), View.error())) {
+      EXPECT_TRUE(sameActions(View.actions(), Ref.T)) << Reader;
+    }
+  }
+  {
+    StreamingTraceReader Reader(Path, Window);
+    Trace Streamed;
+    for (TraceSpan Chunk = Reader.next(); !Chunk.empty();
+         Chunk = Reader.next())
+      Streamed.insert(Streamed.end(), Chunk.begin(), Chunk.end());
+    if (SameVerdict("StreamingTraceReader", Reader.ok(), Reader.error())) {
+      EXPECT_TRUE(sameActions(Streamed, Ref.T)) << "StreamingTraceReader";
+    }
+  }
+  for (bool Stream : {false, true}) {
+    AnalysisRequest Request;
+    Request.Setup = nullSetup();
+    Request.Setup.Shards = 1;
+    Request.Stream = Stream;
+    Request.StreamWindow = Window;
+    const AnalysisResult Result =
+        AnalysisSession(flatSiteWorkload(), Request).analyzeFile(Path);
+    const char *Reader = Stream ? "streamed analyzeFile" : "analyzeFile";
+    if (SameVerdict(Reader, Result.Ok, Result.Error)) {
+      EXPECT_EQ(Result.TraceEvents, Ref.T.size()) << Reader;
+    }
+  }
+  return Ref.Error;
 }
 
 } // namespace pacer::test

@@ -1,13 +1,14 @@
 //===- tests/sim/TraceCorruptionTest.cpp ----------------------------------==//
 //
-// Corrupt-input corpus for the binary v2 format, applied uniformly to all
-// three read paths: readTraceFile (buffered load), TraceView (mmap and its
-// forced-buffered fallback), and StreamingTraceReader (bounded window).
-// The daemon feeds attacker-controlled bytes straight into these readers,
-// so every corruption must produce a clean diagnostic -- never a crash,
-// an abort (e.g. a reserve() sized from a hostile record count), or a
-// silently truncated parse. Record-level corruptions also run through
-// every AnalysisSession::analyzeFile path, where the default path leaves
+// Corrupt-input corpus for the trace formats, applied uniformly to every
+// read path: readTraceFile, TraceView (mmap and its forced loaded path),
+// StreamingTraceReader (bounded window), and AnalysisSession::analyzeFile
+// in its default and Stream modes. The daemon feeds attacker-controlled
+// bytes straight into these readers, so every corruption must produce one
+// clean diagnostic, the same from every path and naming the file -- never
+// a crash, an abort (e.g. a reserve() sized from a hostile record count),
+// or a silently truncated parse. Record-level corruptions also run
+// through every analyzeFile configuration, where the default path leaves
 // the record check to the replay segmenter.
 //
 //===----------------------------------------------------------------------===//
@@ -22,23 +23,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 using namespace pacer;
-using pacer::test::TraceBuilder;
+using namespace pacer::test;
 
 namespace {
-
-std::string writeCorpusFile(const std::string &Name,
-                            const std::string &Bytes) {
-  std::string Path = ::testing::TempDir() + "/" + Name;
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-  return Path;
-}
 
 /// A small legal trace to corrupt.
 Trace baseTrace() {
@@ -52,18 +43,6 @@ Trace baseTrace() {
       .join(0, 1)
       .exit(0)
       .take();
-}
-
-/// Byte image of a well-formed v2 file for \p T.
-std::string binaryImage(const Trace &T) {
-  std::string Bytes(BinaryTraceHeaderBytes, '\0');
-  packBinaryHeader(T.size(), reinterpret_cast<unsigned char *>(&Bytes[0]));
-  for (const Action &A : T) {
-    unsigned char Rec[BinaryTraceRecordBytes];
-    packBinaryRecord(A, Rec);
-    Bytes.append(reinterpret_cast<char *>(Rec), sizeof(Rec));
-  }
-  return Bytes;
 }
 
 /// Overwrites the header's u64 record count in place.
@@ -82,7 +61,7 @@ struct CorpusEntry {
 /// has no cheap fixture-scoped lazy init under -fno-exceptions).
 std::vector<CorpusEntry> corruptCorpus() {
   const Trace T = baseTrace();
-  const std::string Good = binaryImage(T);
+  const std::string Good = binaryTraceImage(T);
   std::vector<CorpusEntry> Corpus;
 
   CorpusEntry BadMagic{"bad_magic", Good};
@@ -97,6 +76,10 @@ std::vector<CorpusEntry> corruptCorpus() {
   CorpusEntry BadVersion{"bad_version", Good};
   BadVersion.Bytes[8] = 0x7F;
   Corpus.push_back(BadVersion);
+
+  CorpusEntry BadFlags{"bad_flags", Good};
+  BadFlags.Bytes[12] = 0x01;
+  Corpus.push_back(BadFlags);
 
   Corpus.push_back({"short_header", Good.substr(0, 10)});
   Corpus.push_back({"header_only_count_nonzero",
@@ -126,12 +109,12 @@ std::vector<CorpusEntry> corruptCorpus() {
   {
     Trace Bad = T;
     Bad[0].Target = 0xFFFFFFFEu; // The fork.
-    Corpus.push_back({"fork_tid_out_of_range", binaryImage(Bad)});
+    Corpus.push_back({"fork_tid_out_of_range", binaryTraceImage(Bad)});
   }
   {
     Trace Bad = T;
     Bad[6].Target = 0xFFFFFFFEu; // The join.
-    Corpus.push_back({"join_tid_out_of_range", binaryImage(Bad)});
+    Corpus.push_back({"join_tid_out_of_range", binaryTraceImage(Bad)});
   }
 
   // Only a thread exit may omit its target: detectors size per-target
@@ -140,66 +123,40 @@ std::vector<CorpusEntry> corruptCorpus() {
   {
     Trace Bad = T;
     Bad[4].Target = InvalidId; // The read.
-    Corpus.push_back({"read_missing_target", binaryImage(Bad)});
+    Corpus.push_back({"read_missing_target", binaryTraceImage(Bad)});
   }
   {
     Trace Bad = T;
     Bad[2].Target = InvalidId; // The write.
-    Corpus.push_back({"write_missing_target", binaryImage(Bad)});
+    Corpus.push_back({"write_missing_target", binaryTraceImage(Bad)});
   }
   {
     Trace Bad = T;
     Bad[1].Target = InvalidId; // The acquire.
-    Corpus.push_back({"acquire_missing_target", binaryImage(Bad)});
+    Corpus.push_back({"acquire_missing_target", binaryTraceImage(Bad)});
   }
   {
     Trace Bad = T;
     Bad[2] = {ActionKind::VolatileWrite, 1, InvalidId, 42};
-    Corpus.push_back({"volatile_write_missing_target", binaryImage(Bad)});
+    Corpus.push_back({"volatile_write_missing_target", binaryTraceImage(Bad)});
   }
   {
     Trace Bad = T;
     Bad[4].Target = InvalidId - 1; // The read.
-    Corpus.push_back({"read_tombstone_target", binaryImage(Bad)});
+    Corpus.push_back({"read_tombstone_target", binaryTraceImage(Bad)});
   }
 
   return Corpus;
 }
 
-/// Drains \p Reader to completion; true if it ever failed.
-bool streamRejects(StreamingTraceReader &Reader) {
-  if (!Reader.ok())
-    return true;
-  while (!Reader.done()) {
-    Reader.next();
-    if (!Reader.ok())
-      return true;
-  }
-  return !Reader.ok();
-}
-
 TEST(TraceCorruptionTest, EveryReaderRejectsEveryCorruption) {
   for (const CorpusEntry &Entry : corruptCorpus()) {
-    std::string Path =
-        writeCorpusFile(std::string("pacer_corrupt_") + Entry.Name, Entry.Bytes);
-
-    TraceParseResult Buffered = readTraceFile(Path);
-    EXPECT_FALSE(Buffered.Ok) << Entry.Name << ": readTraceFile accepted";
-    EXPECT_FALSE(Buffered.Error.empty()) << Entry.Name;
-
-    TraceView Mapped = TraceView::open(Path);
-    EXPECT_FALSE(Mapped.ok()) << Entry.Name << ": mmap view accepted";
-    EXPECT_FALSE(Mapped.error().empty()) << Entry.Name;
-
-    TraceView Fallback = TraceView::open(Path, /*ForceBuffered=*/true);
-    EXPECT_FALSE(Fallback.ok()) << Entry.Name << ": buffered view accepted";
-
-    // Tiny window so record validation happens across window refills.
-    StreamingTraceReader Stream(Path, /*WindowActions=*/2);
-    EXPECT_TRUE(streamRejects(Stream))
-        << Entry.Name << ": streaming reader accepted";
-    EXPECT_FALSE(Stream.error().empty()) << Entry.Name;
-
+    SCOPED_TRACE(Entry.Name);
+    const std::string Path = writeTempFile(
+        std::string("pacer_corrupt_") + Entry.Name, Entry.Bytes);
+    // Tiny stream window so record validation happens across refills.
+    const std::string Error = expectEveryReaderAgrees(Path, 2);
+    EXPECT_EQ(Error.rfind(Path + ": ", 0), 0u) << Error;
     std::remove(Path.c_str());
   }
 }
@@ -209,7 +166,7 @@ TEST(TraceCorruptionTest, CorpusBaseImageIsAccepted) {
   // everywhere; guard against the generator itself drifting.
   const Trace T = baseTrace();
   std::string Path =
-      writeCorpusFile("pacer_corrupt_base_ok", binaryImage(T));
+      writeTempFile("pacer_corrupt_base_ok", binaryTraceImage(T));
 
   TraceParseResult Buffered = readTraceFile(Path);
   ASSERT_TRUE(Buffered.Ok) << Buffered.Error;
@@ -245,14 +202,11 @@ TEST(TraceCorruptionTest, EmptyAndGarbageFilesRejectCleanly) {
       {"text_missing_var", "pacer-trace v1 2\nwr 0 - 1\nwr 1 - 2\n"},
   };
   for (const auto &Case : Cases) {
-    std::string Path = writeCorpusFile(
+    SCOPED_TRACE(Case.Name);
+    const std::string Path = writeTempFile(
         std::string("pacer_corrupt_") + Case.Name, Case.Bytes);
-    TraceParseResult Result = readTraceFile(Path);
-    EXPECT_FALSE(Result.Ok) << Case.Name;
-    EXPECT_FALSE(Result.Error.empty()) << Case.Name;
-
-    StreamingTraceReader Stream(Path, 4);
-    EXPECT_TRUE(streamRejects(Stream)) << Case.Name;
+    const std::string Error = expectEveryReaderAgrees(Path, 4);
+    EXPECT_EQ(Error.rfind(Path + ": ", 0), 0u) << Error;
     std::remove(Path.c_str());
   }
 }
@@ -350,7 +304,7 @@ TEST(TraceCorruptionTest, EveryAnalysisPathGivesTheViewsDiagnostic) {
   };
   {
     const std::string Path =
-        writeCorpusFile("pacer_corrupt_shapes_ok", binaryImage(Base));
+        writeTempFile("pacer_corrupt_shapes_ok", binaryTraceImage(Base));
     ForEachPath([&](const AnalysisSession &Session) {
       AnalysisResult Result = Session.analyzeFile(Path);
       EXPECT_TRUE(Result.Ok) << Result.Error;
@@ -363,10 +317,10 @@ TEST(TraceCorruptionTest, EveryAnalysisPathGivesTheViewsDiagnostic) {
     for (size_t Pos : Positions) {
       Trace Bad = Base;
       Bad[Pos] = Corruption.Corrupt(Bad[Pos]);
-      const std::string Path = writeCorpusFile(
+      const std::string Path = writeTempFile(
           std::string("pacer_corrupt_shapes_") + Corruption.Name + "_" +
               std::to_string(Pos),
-          binaryImage(Bad));
+          binaryTraceImage(Bad));
       SCOPED_TRACE(std::string(Corruption.Name) + " at record " +
                    std::to_string(Pos));
       const std::string Expected = TraceView::open(Path).error();

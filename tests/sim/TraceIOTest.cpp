@@ -13,7 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
+
+#include <unistd.h>
 
 using namespace pacer;
 using namespace pacer::test;
@@ -123,14 +124,6 @@ TEST(TraceIOTest, MissingFileReportsError) {
 
 // --- Binary format (v2) --------------------------------------------------
 
-/// Writes raw bytes to a temp file and returns its path.
-std::string writeBytes(const std::string &Name, const std::string &Bytes) {
-  std::string Path = ::testing::TempDir() + "/" + Name;
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-  return Path;
-}
-
 /// A hand trace exercising the encoding's edge values: InvalidId targets
 /// and sites, the AwaitVolatile kind (spin-loop threshold reads carry a
 /// Site), the maximal 24-bit thread id, and extreme target/site values
@@ -205,21 +198,10 @@ TEST(TraceIOBinaryTest, EmptyTraceRoundTrips) {
   std::remove(Path.c_str());
 }
 
-std::string validBinaryFile(const Trace &T) {
-  std::string Bytes(BinaryTraceHeaderBytes, '\0');
-  packBinaryHeader(T.size(), reinterpret_cast<unsigned char *>(&Bytes[0]));
-  for (const Action &A : T) {
-    unsigned char Rec[BinaryTraceRecordBytes];
-    packBinaryRecord(A, Rec);
-    Bytes.append(reinterpret_cast<char *>(Rec), sizeof(Rec));
-  }
-  return Bytes;
-}
-
 TEST(TraceIOBinaryTest, RejectsTruncatedHeader) {
-  std::string Bytes = validBinaryFile(edgeCaseTrace());
+  std::string Bytes = binaryTraceImage(edgeCaseTrace());
   std::string Path =
-      writeBytes("pacer_bin_hdr.btrace", Bytes.substr(0, 10));
+      writeTempFile("pacer_bin_hdr.btrace", Bytes.substr(0, 10));
   TraceParseResult Result = readTraceFile(Path);
   EXPECT_FALSE(Result.Ok);
   EXPECT_NE(Result.Error.find("truncated header"), std::string::npos)
@@ -228,9 +210,9 @@ TEST(TraceIOBinaryTest, RejectsTruncatedHeader) {
 }
 
 TEST(TraceIOBinaryTest, RejectsBadMagic) {
-  std::string Bytes = validBinaryFile(edgeCaseTrace());
+  std::string Bytes = binaryTraceImage(edgeCaseTrace());
   Bytes[3] = 'X'; // Still starts with 0xB7, so it classifies as binary.
-  std::string Path = writeBytes("pacer_bin_magic.btrace", Bytes);
+  std::string Path = writeTempFile("pacer_bin_magic.btrace", Bytes);
   TraceParseResult Result = readTraceFile(Path);
   EXPECT_FALSE(Result.Ok);
   EXPECT_NE(Result.Error.find("magic"), std::string::npos) << Result.Error;
@@ -238,9 +220,9 @@ TEST(TraceIOBinaryTest, RejectsBadMagic) {
 }
 
 TEST(TraceIOBinaryTest, RejectsBadVersion) {
-  std::string Bytes = validBinaryFile(edgeCaseTrace());
+  std::string Bytes = binaryTraceImage(edgeCaseTrace());
   Bytes[8] = 9;
-  std::string Path = writeBytes("pacer_bin_ver.btrace", Bytes);
+  std::string Path = writeTempFile("pacer_bin_ver.btrace", Bytes);
   TraceParseResult Result = readTraceFile(Path);
   EXPECT_FALSE(Result.Ok);
   EXPECT_NE(Result.Error.find("version"), std::string::npos)
@@ -249,9 +231,9 @@ TEST(TraceIOBinaryTest, RejectsBadVersion) {
 }
 
 TEST(TraceIOBinaryTest, RejectsTruncatedRecords) {
-  std::string Bytes = validBinaryFile(edgeCaseTrace());
-  std::string Path =
-      writeBytes("pacer_bin_trunc.btrace", Bytes.substr(0, Bytes.size() - 5));
+  std::string Bytes = binaryTraceImage(edgeCaseTrace());
+  std::string Path = writeTempFile("pacer_bin_trunc.btrace",
+                                   Bytes.substr(0, Bytes.size() - 5));
   TraceParseResult Result = readTraceFile(Path);
   EXPECT_FALSE(Result.Ok);
   EXPECT_NE(Result.Error.find("truncated trace"), std::string::npos)
@@ -260,9 +242,9 @@ TEST(TraceIOBinaryTest, RejectsTruncatedRecords) {
 }
 
 TEST(TraceIOBinaryTest, RejectsTrailingBytes) {
-  std::string Bytes = validBinaryFile(edgeCaseTrace());
+  std::string Bytes = binaryTraceImage(edgeCaseTrace());
   Bytes.append(12, '\0');
-  std::string Path = writeBytes("pacer_bin_trail.btrace", Bytes);
+  std::string Path = writeTempFile("pacer_bin_trail.btrace", Bytes);
   TraceParseResult Result = readTraceFile(Path);
   EXPECT_FALSE(Result.Ok);
   EXPECT_NE(Result.Error.find("trailing bytes"), std::string::npos)
@@ -271,9 +253,9 @@ TEST(TraceIOBinaryTest, RejectsTrailingBytes) {
 }
 
 TEST(TraceIOBinaryTest, RejectsBadKindByte) {
-  std::string Bytes = validBinaryFile(edgeCaseTrace());
+  std::string Bytes = binaryTraceImage(edgeCaseTrace());
   Bytes[BinaryTraceHeaderBytes + BinaryTraceRecordBytes] = '\x7F';
-  std::string Path = writeBytes("pacer_bin_kind.btrace", Bytes);
+  std::string Path = writeTempFile("pacer_bin_kind.btrace", Bytes);
   TraceParseResult Result = readTraceFile(Path);
   EXPECT_FALSE(Result.Ok);
   EXPECT_NE(Result.Error.find("bad action kind in record 1"),
@@ -283,21 +265,53 @@ TEST(TraceIOBinaryTest, RejectsBadKindByte) {
 }
 
 TEST(TraceIOBinaryTest, DetectsFormatByFirstByte) {
+  EXPECT_EQ(traceFormatOf(BinaryTraceMagic0), TraceFormat::Binary);
+  EXPECT_EQ(traceFormatOf('p'), TraceFormat::Text);
   Trace T = edgeCaseTrace();
   std::string TextPath = ::testing::TempDir() + "/pacer_fmt.trace";
   std::string BinPath = ::testing::TempDir() + "/pacer_fmt.btrace";
   ASSERT_TRUE(writeTraceFile(TextPath, T, TraceFormat::Text));
   ASSERT_TRUE(writeTraceFile(BinPath, T, TraceFormat::Binary));
-  TraceFormat Format;
-  std::string Error;
-  ASSERT_TRUE(detectTraceFileFormat(TextPath, Format, Error)) << Error;
-  EXPECT_EQ(Format, TraceFormat::Text);
-  ASSERT_TRUE(detectTraceFileFormat(BinPath, Format, Error)) << Error;
-  EXPECT_EQ(Format, TraceFormat::Binary);
-  EXPECT_FALSE(detectTraceFileFormat("/nonexistent/x.trace", Format, Error));
-  EXPECT_NE(Error.find("cannot open"), std::string::npos);
+  for (auto [Path, Expected] : {std::pair(TextPath, TraceFormat::Text),
+                                std::pair(BinPath, TraceFormat::Binary)}) {
+    TraceFormat Format = Expected == TraceFormat::Text ? TraceFormat::Binary
+                                                       : TraceFormat::Text;
+    ASSERT_TRUE(readTraceFile(Path, &Format).Ok) << Path;
+    EXPECT_EQ(Format, Expected) << Path;
+    EXPECT_EQ(StreamingTraceReader(Path).format(), Expected) << Path;
+  }
   std::remove(TextPath.c_str());
   std::remove(BinPath.c_str());
+}
+
+TEST(TraceIOTest, FileDiagnosticsNameThePath) {
+  // A string has no file, so parseTrace keeps the bare "line N: why".
+  const std::string Bad = "pacer-trace v1 2\nrd 0 1 2\nzap 0 1 2\n";
+  EXPECT_EQ(parseTrace(Bad).Error, "line 3: unknown action kind");
+  // A file's diagnostic names it, from every reader and analysis path.
+  const std::string BadPath = writeTempFile("pacer_named_bad.trace", Bad);
+  const std::string EmptyPath = writeTempFile("pacer_named_empty.trace", "");
+  for (auto [Path, Expected] :
+       {std::pair(BadPath, BadPath + ": line 3: unknown action kind"),
+        std::pair(EmptyPath, EmptyPath + ": empty file")}) {
+    EXPECT_EQ(readTraceFile(Path).Error, Expected);
+    StreamingTraceReader Reader(Path, 1);
+    while (!Reader.next().empty())
+      ;
+    EXPECT_EQ(Reader.error(), Expected);
+    for (bool Stream : {false, true}) {
+      AnalysisRequest Request;
+      Request.Setup = fastTrackSetup();
+      Request.Stream = Stream;
+      EXPECT_EQ(AnalysisSession(flatSiteWorkload(), Request)
+                    .analyzeFile(Path)
+                    .Error,
+                Expected)
+          << "stream=" << Stream;
+    }
+  }
+  std::remove(BadPath.c_str());
+  std::remove(EmptyPath.c_str());
 }
 
 // --- TraceView (mmap zero-copy) ------------------------------------------
@@ -323,20 +337,23 @@ TEST(TraceViewTest, MappedViewMatchesTrace) {
   std::remove(Path.c_str());
 }
 
-TEST(TraceViewTest, RejectsTextTraces) {
+TEST(TraceViewTest, OpensTextTraces) {
+  // A text trace cannot be mapped, so the view loads it.
   Trace T = edgeCaseTrace();
   std::string Path = ::testing::TempDir() + "/pacer_view.trace";
   ASSERT_TRUE(writeTraceFile(Path, T, TraceFormat::Text));
-  TraceView View = TraceView::open(Path);
-  EXPECT_FALSE(View.ok());
-  EXPECT_NE(View.error().find("not a binary trace"), std::string::npos)
-      << View.error();
+  for (bool ForceBuffered : {false, true}) {
+    TraceView View = TraceView::open(Path, ForceBuffered);
+    ASSERT_TRUE(View.ok()) << View.error();
+    EXPECT_FALSE(View.mapped());
+    EXPECT_TRUE(sameActions(View.actions(), T));
+  }
   std::remove(Path.c_str());
 }
 
 TEST(TraceViewTest, RejectsTruncatedFile) {
-  std::string Bytes = validBinaryFile(edgeCaseTrace());
-  std::string Path = writeBytes("pacer_view_trunc.btrace",
+  std::string Bytes = binaryTraceImage(edgeCaseTrace());
+  std::string Path = writeTempFile("pacer_view_trunc.btrace",
                                 Bytes.substr(0, Bytes.size() - 3));
   TraceView View = TraceView::open(Path);
   EXPECT_FALSE(View.ok());
@@ -392,21 +409,39 @@ TEST(StreamingTraceReaderTest, ChunksConcatenateToFullTrace) {
 }
 
 TEST(StreamingTraceReaderTest, ReportsMidStreamTruncation) {
-  std::string Bytes = validBinaryFile(edgeCaseTrace());
-  std::string Path = writeBytes("pacer_stream_trunc.btrace",
-                                Bytes.substr(0, Bytes.size() - 5));
+  CompiledWorkload Workload(tinyTestWorkload());
+  Trace T = generateTrace(Workload, 3);
+  ASSERT_GT(T.size(), 1000u); // Larger than stdio buffers ahead.
+  const std::string Bytes = binaryTraceImage(T);
+  std::string Expected = ": truncated trace (header promises ";
+  Expected += std::to_string(T.size());
+  Expected += " records)";
+
+  // A file already short at open fails there: its size is checked
+  // against the header before any record is read.
+  std::string Path = writeTempFile("pacer_stream_trunc.btrace",
+                                   Bytes.substr(0, Bytes.size() - 5));
+  StreamingTraceReader Short(Path, 2);
+  EXPECT_FALSE(Short.ok());
+  EXPECT_EQ(Short.error(), Path + Expected);
+
+  // A file that shrinks after open fails mid-stream, with the same
+  // diagnostic.
+  writeTempFile("pacer_stream_trunc.btrace", Bytes);
   StreamingTraceReader Reader(Path, 2);
-  ASSERT_TRUE(Reader.ok()) << Reader.error(); // Header is intact.
+  ASSERT_TRUE(Reader.ok()) << Reader.error();
+  ASSERT_EQ(::truncate(Path.c_str(), static_cast<off_t>(Bytes.size() / 2)),
+            0);
   while (!Reader.next().empty())
     ;
   EXPECT_FALSE(Reader.ok());
-  EXPECT_NE(Reader.error().find("truncated trace"), std::string::npos)
-      << Reader.error();
+  EXPECT_EQ(Reader.error(), Path + Expected);
+  EXPECT_LT(Reader.actionsDelivered(), T.size());
   std::remove(Path.c_str());
 }
 
 TEST(StreamingTraceReaderTest, ReportsMalformedTextLine) {
-  std::string Path = writeBytes(
+  std::string Path = writeTempFile(
       "pacer_stream_bad.trace", "pacer-trace v1 2\nrd 0 1 2\nzap 0 1 2\n");
   StreamingTraceReader Reader(Path, 1);
   ASSERT_TRUE(Reader.ok()) << Reader.error();

@@ -33,7 +33,6 @@
 #include "core/ClockKernels.h"
 #include "runtime/AnalysisSession.h"
 #include "runtime/IngestServer.h"
-#include "runtime/TraceIndex.h"
 #include "sim/TraceGenerator.h"
 #include "sim/TraceIO.h"
 #include "sim/Workloads.h"
@@ -41,6 +40,8 @@
 #include "support/Socket.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
+
+#include "DetectorOptions.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -65,15 +66,7 @@ OptionRegistry buildRegistry() {
       .addDouble("scale", 1.0, "workload scale for --generate")
       .addString("trace-format", "text",
                  "--generate output format: text|binary")
-      .addString("detector", "pacer", "pacer|fasttrack|generic|literace")
-      .addDouble("rate", 1.0, "PACER sampling rate in [0,1]")
-      .addInt("period-bytes", 256 * 1024, "simulated nursery size in bytes")
-      .addInt("burst", 100, "LiteRace burst length")
       .addInt("seed", 1, "seed for trace generation / sampling decisions")
-      .addFlag("accordion",
-               "recycle thread-clock slots once dead threads are "
-               "dominated (accordion clocks); reports are identical, "
-               "metadata stays O(live threads)")
       .addFlag("no-sync-batching",
                "deliver every acquire/release individually instead of "
                "coalescing same-thread sync runs into one syncBatch; "
@@ -87,8 +80,6 @@ OptionRegistry buildRegistry() {
               static_cast<int64_t>(StreamingTraceReader::DefaultWindowActions),
               "streaming window size in actions")
       .addInt("jobs", 1, "analyse this many trace files concurrently")
-      .addString("shards", "1",
-                 "variable shards per trace replay: a count or 'auto'")
       .addFlag("cpu-info", "print the resolved kernel ISA, then exit")
       .addFlag("submit",
                "send the trace files to a racedetectd daemon instead of "
@@ -100,26 +91,8 @@ OptionRegistry buildRegistry() {
       .addString("submit-id", "",
                  "idempotency id for --submit (default: the file's "
                  "basename; retries of a committed id answer 'duplicate')");
+  addDetectorOptions(R);
   return R;
-}
-
-DetectorSetup setupFromOptions(const OptionRegistry &R, bool &Ok) {
-  Ok = true;
-  std::string Name = R.getString("detector");
-  if (Name == "pacer") {
-    DetectorSetup Setup = pacerSetup(R.getDouble("rate"));
-    Setup.Sampling.PeriodBytes =
-        static_cast<uint64_t>(R.getInt("period-bytes"));
-    return Setup;
-  }
-  if (Name == "fasttrack")
-    return fastTrackSetup();
-  if (Name == "generic")
-    return genericSetup();
-  if (Name == "literace")
-    return literaceSetup(static_cast<uint32_t>(R.getInt("burst")));
-  Ok = false;
-  return {};
 }
 
 int generateMode(const OptionRegistry &R) {
@@ -387,15 +360,13 @@ int main(int Argc, char **Argv) {
   OptionRegistry R = buildRegistry();
   if (!R.parse(Argc, Argv))
     return R.helpRequested() ? 0 : 2;
-  // Reject values that a cast below would wrap (a negative nursery size
-  // or burst length) or that no detector can honour, before any work.
+  // Reject values that a cast below would wrap or that no detector can
+  // honour, before any work.
   if (!R.intInRange("tcp-port", -1, 65535) ||
       !R.intInRange("stream-window", 1,
                     static_cast<int64_t>(
                         StreamingTraceReader::MaxWindowActions)) ||
-      !R.doubleInRange("rate", 0.0, 1.0) ||
-      !R.intInRange("period-bytes", 1, INT64_MAX) ||
-      !R.intInRange("burst", 1, UINT32_MAX))
+      !detectorOptionsInRange(R))
     return 2;
 
   if (R.getBool("cpu-info"))
@@ -413,24 +384,16 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  bool SetupOk = false;
-  DetectorSetup Setup = setupFromOptions(R, SetupOk);
-  Setup.AccordionClocks = R.getBool("accordion");
-  Setup.SyncBatching = !R.getBool("no-sync-batching");
-  if (!SetupOk) {
-    std::fprintf(stderr, "error: unknown --detector=%s\n",
-                 R.getString("detector").c_str());
+  DetectorSetup Setup;
+  if (!detectorSetupFromOptions(R, Setup))
     return 2;
-  }
+  Setup.SyncBatching = !R.getBool("no-sync-batching");
 
   auto MaxReports = static_cast<size_t>(R.getInt("max-reports"));
   bool WantStats = R.getBool("stats");
   bool WantTimes = R.getBool("times");
   int64_t JobsFlag = R.getInt("jobs");
   unsigned Jobs = JobsFlag < 1 ? 1u : static_cast<unsigned>(JobsFlag);
-  // Auto-sharding is opt-in: measured batches ran slower auto-sharded
-  // than at K = 1.
-  Setup.Shards = parseShardCount(R.getString("shards"));
 
   AnalysisRequest Request;
   Request.Setup = Setup;

@@ -25,8 +25,9 @@
 
 #include "core/ClockKernels.h"
 #include "runtime/IngestServer.h"
-#include "runtime/TraceIndex.h"
 #include "support/CommandLine.h"
+
+#include "DetectorOptions.h"
 
 #include <atomic>
 #include <chrono>
@@ -59,14 +60,7 @@ OptionRegistry buildRegistry() {
       .addString("spool-dir", "",
                  "in-flight submission spool (default: SNAPSHOT.spool, or "
                  "racedetectd.spool)")
-      .addString("detector", "pacer", "pacer|fasttrack|generic|literace")
-      .addDouble("rate", 1.0, "PACER sampling rate in [0,1]")
-      .addInt("period-bytes", 256 * 1024, "simulated nursery size in bytes")
-      .addInt("burst", 100, "LiteRace burst length")
-      .addFlag("accordion", "accordion thread-slot recycling")
       .addInt("seed", 1, "seed for sampling decisions (fleet-wide)")
-      .addString("shards", "1",
-                 "shards per submission replay: a count or 'auto'")
       .addInt("stream-window",
               static_cast<int64_t>(StreamingTraceReader::DefaultWindowActions),
               "streaming window per replay, in actions")
@@ -78,27 +72,8 @@ OptionRegistry buildRegistry() {
       .addInt("snapshot-every", 1, "snapshot after every Nth commit")
       .addInt("drop-poll-ms", 50, "drop-directory poll interval")
       .addInt("recv-timeout-ms", 10000, "per-read connection timeout");
+  addDetectorOptions(R);
   return R;
-}
-
-bool setupFromOptions(const OptionRegistry &R, DetectorSetup &Setup) {
-  const std::string Name = R.getString("detector");
-  if (Name == "pacer") {
-    Setup = pacerSetup(R.getDouble("rate"));
-    Setup.Sampling.PeriodBytes =
-        static_cast<uint64_t>(R.getInt("period-bytes"));
-  } else if (Name == "fasttrack") {
-    Setup = fastTrackSetup();
-  } else if (Name == "generic") {
-    Setup = genericSetup();
-  } else if (Name == "literace") {
-    Setup = literaceSetup(static_cast<uint32_t>(R.getInt("burst")));
-  } else {
-    return false;
-  }
-  Setup.AccordionClocks = R.getBool("accordion");
-  Setup.Shards = parseShardCount(R.getString("shards"));
-  return true;
 }
 
 } // namespace
@@ -115,14 +90,14 @@ int main(int Argc, char **Argv) {
       !R.intInRange("max-connections", 1, UINT_MAX) ||
       !R.intInRange("max-submission-mb", 1,
                     static_cast<int64_t>(UINT64_MAX >> 20)) ||
+      !R.intInRange("queue", 1, INT64_MAX) ||
+      !R.intInRange("snapshot-every", 1, UINT_MAX) ||
       !R.intInRange("drop-poll-ms", 1, INT_MAX) ||
       !R.intInRange("recv-timeout-ms", 1, INT_MAX) ||
       !R.intInRange("stream-window", 1,
                     static_cast<int64_t>(
                         StreamingTraceReader::MaxWindowActions)) ||
-      !R.doubleInRange("rate", 0.0, 1.0) ||
-      !R.intInRange("period-bytes", 1, INT64_MAX) ||
-      !R.intInRange("burst", 1, UINT32_MAX))
+      !detectorOptionsInRange(R))
     return 2;
 
   IngestServer::Config Config;
@@ -135,22 +110,17 @@ int main(int Argc, char **Argv) {
     Config.SpoolDir = Config.SnapshotPath.empty()
                           ? "racedetectd.spool"
                           : Config.SnapshotPath + ".spool";
-  if (!setupFromOptions(R, Config.Setup)) {
-    std::fprintf(stderr, "error: unknown --detector=%s\n",
-                 R.getString("detector").c_str());
+  if (!detectorSetupFromOptions(R, Config.Setup))
     return 2;
-  }
   Config.Seed = static_cast<uint64_t>(R.getInt("seed"));
   Config.StreamWindow = static_cast<size_t>(R.getInt("stream-window"));
   Config.MaxSubmissionBytes =
       static_cast<uint64_t>(R.getInt("max-submission-mb")) << 20;
-  int64_t QueueFlag = R.getInt("queue");
-  Config.QueueCapacity = QueueFlag < 1 ? 1 : static_cast<size_t>(QueueFlag);
+  Config.QueueCapacity = static_cast<size_t>(R.getInt("queue"));
   Config.AnalysisWorkers = static_cast<unsigned>(R.getInt("workers"));
   Config.MaxConnections =
       static_cast<unsigned>(R.getInt("max-connections"));
-  int64_t EveryFlag = R.getInt("snapshot-every");
-  Config.SnapshotEveryN = EveryFlag < 1 ? 1 : static_cast<unsigned>(EveryFlag);
+  Config.SnapshotEveryN = static_cast<unsigned>(R.getInt("snapshot-every"));
   Config.DropPollMs = static_cast<int>(R.getInt("drop-poll-ms"));
   Config.RecvTimeoutMs = static_cast<int>(R.getInt("recv-timeout-ms"));
 
